@@ -606,10 +606,12 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 
 (* A method call on an object carrying N active triggers whose alphabets
-   never contain the posted events. Pre-index, every one of the 6 basic
-   events around the call snapshotted and classified all N activations;
-   with the index (Database.set_dispatch_index, the default) none of them
-   is touched. Emits BENCH_dispatch.json for EXPERIMENTS.md. *)
+   never contain the posted events. Without the index, every one of the
+   6 basic events around the call snapshots and classifies all N
+   activations — the reference stepper's [Scan] mode
+   (test/reference/stepper.ml) is that baseline; the posting kernel,
+   resolving candidates through the dispatch rows, touches none of them.
+   Emits BENCH_dispatch.json for EXPERIMENTS.md. *)
 (* an object of class [hot] carrying [n] armed triggers that can never
    react to the posted events — shared by E9-dispatch and E10-obs *)
 let inert_trigger_db n =
@@ -650,7 +652,7 @@ let e9_dispatch () =
   let module D = Ode_odb.Database in
   let measure ~indexed n =
     let db, oid = inert_trigger_db n in
-    D.set_dispatch_index db indexed;
+    if not indexed then Ode_reference.Stepper.install db Ode_reference.Stepper.Scan;
     let tx = D.begin_txn db in
     let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
     (match D.commit db tx with Ok () | Error `Aborted -> ());
@@ -677,7 +679,8 @@ let e9_dispatch () =
   p "  \"experiment\": \"E9-dispatch\",\n";
   p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
   p "  \"description\": \"object with N inert active triggers: brute-force scan \
-     (pre-index posting path) vs per-class dispatch index\",\n";
+     (reference stepper, Scan mode) vs the posting kernel over the per-class \
+     dispatch index\",\n";
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
   List.iteri
@@ -867,16 +870,17 @@ let e11_shard () =
   pf "wrote BENCH_shard.json@."
 
 (* ------------------------------------------------------------------ *)
-(* E12-kernel: the compiled posting kernel vs the legacy indexed path   *)
+(* E12-kernel: the compiled posting kernel vs the reference stepper     *)
 (* ------------------------------------------------------------------ *)
 
 (* The E11-shard schema (256 objects x 4 perpetual never-completing
    triggers, zero firings) through both posting paths: the legacy
-   indexed path — per-post candidate resolution, closure-driven
-   classification, word-vector stepping — vs the compiled kernel
-   (Database.set_posting_kernel, the default) — per-class candidate
-   rows, packed classification codes, flat-table stepping over the SoA
-   state, per-shard queues and scratch.
+   indexed path the kernel replaced, kept as the reference stepper's
+   [Index] mode (test/reference/stepper.ml) — per-post candidate
+   resolution, closure-driven classification, boxed stepping — vs the
+   compiled kernel — per-class candidate rows, packed classification
+   codes, flat-table stepping over the SoA state, per-shard queues and
+   scratch.
 
    Batches are 4 events/object (wide enough that one pool rendezvous
    amortises over ~1k events), under two skews: [uniform] spreads the
@@ -893,7 +897,7 @@ let e11_shard () =
    instead of reporting oversubscription noise as scaling. Emits
    BENCH_kernel.json. *)
 let e12_kernel () =
-  section "E12-kernel: compiled posting kernel vs legacy indexed path";
+  section "E12-kernel: compiled posting kernel vs legacy indexed path (reference stepper)";
   let module St = Ode_odb.Store in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
@@ -922,7 +926,7 @@ let e12_kernel () =
   in
   let measure ~kernel ~domains ~contended =
     let db, oids = shard_workload () in
-    E.set_posting_kernel db kernel;
+    if not kernel then Ode_reference.Stepper.install db Ode_reference.Stepper.Index;
     E.set_post_domains db domains;
     let items = build_items ~contended db oids in
     let tx = Tx.begin_txn db in
@@ -988,9 +992,9 @@ let e12_kernel () =
   p
     "  \"description\": \"E11-shard schema (%d shards, %d objects x %d \
      perpetual never-completing triggers), batches of %d events (%d per \
-     object) through the legacy indexed posting path vs the compiled \
-     kernel; contended rows send 80%% of the batch to the objects of %d of \
-     the shards; effective_domains = post_domains clamped to min(shards, \
+     object) through the legacy indexed posting path (the reference \
+     stepper's Index mode) vs the compiled kernel; contended rows send \
+     80%% of the batch to the objects of %d of the shards; effective_domains = post_domains clamped to min(shards, \
      cores); minor_words_per_event counts main-domain minor-heap \
      allocation, exact for 1-domain rows\",\n"
     shard_count n_objects shard_triggers_per_obj n_events events_per_obj
@@ -1241,7 +1245,6 @@ let smoke () =
   let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
   let tdb = T.make_db ~backend:(St.backend_of `Heap) () in
-  Tw.set_wheel tdb true;
   let trng = Random.State.make [| 9191 |] in
   let (), arm_s =
     time_once (fun () ->
@@ -1688,19 +1691,19 @@ let e16_partition () =
 (* E17-timer: the timing wheel vs the sorted-list queue                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Two costs, on both timer-queue representations. [arm]: marginal
-   insert into a queue already holding n timers (raw [Timewheel]
-   inserts, no engine around them) — O(n) for the sorted list, O(1)
-   amortized for the wheel, so the list's arm count shrinks as n grows
-   to keep the rows affordable. [sweep]: [advance_to] over a fleet of
+(* Two costs. [arm]: marginal insert into a queue already holding n
+   timers — the wheel's raw [Timewheel.insert_timer] against the
+   sorted-list insert of the test model (test/reference/timer_model.ml),
+   O(1) amortized vs O(n), so the list's arm count shrinks as n grows to
+   keep the rows affordable. [sweep]: [advance_to] over a fleet of
    objects with staggered periodic triggers, every delivery re-arming
-   its timer — the re-arm pays the list's O(n) insert again, making a
-   sweep O(k·n) for the list and O(k) for the wheel. The 1M-pending
-   sweep row is wheel-only (the list row would take minutes) and fills
-   the structure with parked timers due beyond the window, so cascade
-   and occupancy costs are real. Emits BENCH_timer.json. *)
+   its timer, on the wheel alone. The list sweep column is retired
+   with the in-engine list queue (EXPERIMENTS.md cites its last
+   figures); the 1M-pending sweep row fills the structure with parked
+   timers due beyond the window, so cascade and occupancy costs are
+   real. Emits BENCH_timer.json. *)
 let e17_timer () =
-  section "E17-timer: timing wheel vs sorted-list queue (arm / advance sweep)";
+  section "E17-timer: timing wheel vs sorted-list model (arm) + wheel advance sweep";
   let module T = Ode_odb.Types in
   let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
@@ -1708,6 +1711,7 @@ let e17_timer () =
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
   let module Obs = Ode_obs.Registry in
+  let module Model = Ode_reference.Timer_model in
   let horizon = 10_000_000 in
   let mk_timer i due =
     {
@@ -1728,15 +1732,23 @@ let e17_timer () =
   in
   (* marginal arm cost at occupancy n, measured over k fresh inserts *)
   let arm ~wheel ~n ~k =
-    let db = T.make_db ~backend:(St.backend_of `Heap) () in
-    Tw.set_wheel db wheel;
     let rng = Random.State.make [| 1717; n |] in
-    Tw.replace db
-      (List.sort cmp (List.init n (fun i -> mk_timer i (rand_due rng))));
+    let queue = List.sort cmp (List.init n (fun i -> mk_timer i (rand_due rng))) in
     let dues = Array.init k (fun _ -> rand_due rng) in
     let (), total =
-      time_once (fun () ->
-          Array.iteri (fun i due -> Tw.insert_timer db (mk_timer (n + i) due)) dues)
+      if wheel then begin
+        let db = T.make_db ~backend:(St.backend_of `Heap) () in
+        Tw.replace db queue;
+        time_once (fun () ->
+            Array.iteri (fun i due -> Tw.insert_timer db (mk_timer (n + i) due)) dues)
+      end
+      else begin
+        let q = ref queue in
+        time_once (fun () ->
+            Array.iteri
+              (fun i due -> q := Model.insert_list (mk_timer (n + i) due) !q)
+              dues)
+      end
     in
     total /. float_of_int k
   in
@@ -1745,9 +1757,8 @@ let e17_timer () =
      then advance [advance_ms], every delivery re-arming its timer.
      [pad] extra timers are parked beyond the window (no live object),
      occupying the structure without ever coming due. *)
-  let sweep ~wheel ~objects ~period ~advance_ms ~pad =
+  let sweep ~objects ~period ~advance_ms ~pad =
     let db = T.make_db ~backend:(St.backend_of (`Sharded 8)) () in
-    Tw.set_wheel db wheel;
     let b = Sc.define_class "node" in
     let b =
       Sc.trigger_str b ~perpetual:true "hb"
@@ -1806,41 +1817,26 @@ let e17_timer () =
         (n, k_list, list_ns, wheel_ns))
       [ (10_000, 4_000); (100_000, 1_000); (1_000_000, 300) ]
   in
-  pf "%10s %12s %18s %18s %10s@." "pending" "deliveries" "list ns/delivery"
-    "wheel ns/delivery" "speedup";
+  pf "%10s %12s %18s@." "pending" "deliveries" "wheel ns/delivery";
   let sweep_rows =
     List.map
-      (fun (objects, period, advance_ms) ->
-        let p_l, d_l, list_ns =
-          sweep ~wheel:false ~objects ~period ~advance_ms ~pad:0
-        in
-        let p_w, d_w, wheel_ns =
-          sweep ~wheel:true ~objects ~period ~advance_ms ~pad:0
-        in
-        if p_l <> p_w || d_l <> d_w then
-          failwith "sweep: representations disagree on the workload";
-        pf "%10d %12d %18.0f %18.0f %9.1fx@." p_w d_w list_ns wheel_ns
-          (list_ns /. wheel_ns);
-        (p_w, d_w, Some list_ns, wheel_ns))
-      [ (10_000, 1_000, 10_000); (100_000, 10_000, 1_000) ]
+      (fun (objects, period, advance_ms, pad) ->
+        let p, d, wheel_ns = sweep ~objects ~period ~advance_ms ~pad in
+        pf "%10d %12d %18.0f@." p d wheel_ns;
+        (p, d, wheel_ns))
+      [
+        (10_000, 1_000, 10_000, 0);
+        (100_000, 10_000, 1_000, 0);
+        (10_000, 1_000, 10_000, 990_000);
+      ]
   in
-  let p_m, d_m, big_ns =
-    sweep ~wheel:true ~objects:10_000 ~period:1_000 ~advance_ms:10_000
-      ~pad:990_000
-  in
-  pf "%10d %12d %18s %18.0f %10s@." p_m d_m "-" big_ns "(wheel only)";
-  let sweep_rows = sweep_rows @ [ (p_m, d_m, None, big_ns) ] in
   let arm_speedup_1m =
     match List.rev arm_rows with
     | (_, _, l, w) :: _ -> l /. w
     | [] -> assert false
   in
-  let sweep_speedup_100k =
-    match sweep_rows with
-    | (_, _, Some l, w) :: _ -> l /. w
-    | _ -> assert false
-  in
-  pf "shape: arming is O(n) vs O(1); a sweep's re-arms make it O(k*n) vs O(k).@.";
+  pf "shape: arming is O(n) vs O(1); the wheel's per-delivery cost stays flat\n\
+      from 10^4 to 10^6 pending.@.";
   let oc = open_out "BENCH_timer.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -1849,14 +1845,13 @@ let e17_timer () =
     "  \"unit\": \"ns per armed timer / ns per delivered timer (delivery = \
      system txn + time-event post + periodic re-arm)\",\n";
   p
-    "  \"description\": \"sorted-list queue vs hierarchical timing wheel: \
-     marginal arm cost at fixed occupancy (raw queue inserts, dues uniform \
-     over %d ms) and a fleet advance sweep (staggered every-period \
-     heartbeats, each delivery re-arming; 1M-pending row pads the wheel \
-     with parked timers and has no list baseline)\",\n"
+    "  \"description\": \"marginal arm cost at fixed occupancy, dues uniform \
+     over %d ms: the sorted-list insert of the test model vs raw timing-wheel \
+     inserts; and a wheel advance sweep (staggered every-period heartbeats, \
+     each delivery re-arming; the 1M-pending row pads the wheel with parked \
+     timers)\",\n"
     horizon;
   p "  \"arm_speedup_at_1m\": %.1f,\n" arm_speedup_1m;
-  p "  \"sweep_speedup_100k_deliveries\": %.1f,\n" sweep_speedup_100k;
   p "  \"arm_rows\": [\n";
   let last = List.length arm_rows - 1 in
   List.iteri
@@ -1872,21 +1867,11 @@ let e17_timer () =
   p "  \"sweep_rows\": [\n";
   let last = List.length sweep_rows - 1 in
   List.iteri
-    (fun i (pend, deliv, l, w) ->
-      (match l with
-      | Some l ->
-        p
-          "    {\"pending\": %d, \"deliveries\": %d, \
-           \"list_ns_per_delivery\": %.0f, \"wheel_ns_per_delivery\": %.0f, \
-           \"speedup\": %.1f}%s\n"
-          pend deliv l w (l /. w)
-          (if i = last then "" else ",")
-      | None ->
-        p
-          "    {\"pending\": %d, \"deliveries\": %d, \
-           \"list_ns_per_delivery\": null, \"wheel_ns_per_delivery\": %.0f}%s\n"
-          pend deliv w
-          (if i = last then "" else ",")))
+    (fun i (pend, deliv, w) ->
+      p
+        "    {\"pending\": %d, \"deliveries\": %d, \"wheel_ns_per_delivery\": %.0f}%s\n"
+        pend deliv w
+        (if i = last then "" else ","))
     sweep_rows;
   p "  ]\n";
   p "}\n";

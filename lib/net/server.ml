@@ -75,7 +75,22 @@ let stats t =
     s_dropped = t.n_dropped;
   }
 
+(* Every serve knob has a floor. Below it the loop misbehaves rather
+   than fails: a zero outbox bound, for one, leaves a block-policy
+   subscriber's first firing waiting forever for room. *)
+let check_serve (s : D.Config.serve) =
+  let floor name v lo =
+    if v < lo then
+      raise
+        (D.Ode_error (Printf.sprintf "serve.%s must be >= %d (got %d)" name lo v))
+  in
+  floor "outbox_bound" s.D.Config.outbox_bound 1;
+  floor "max_batch" s.D.Config.max_batch 1;
+  floor "batch_window_ms" s.D.Config.batch_window_ms 0;
+  floor "max_frame_bytes" s.D.Config.max_frame_bytes 1
+
 let create ?db ~(config : D.Config.t) () =
+  check_serve config.D.Config.serve;
   (* a peer that vanishes mid-write must surface as EPIPE on the write,
      not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore

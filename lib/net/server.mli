@@ -43,8 +43,11 @@ val create : ?db:D.t -> config:D.Config.t -> unit -> t
 (** Bind and listen on [config.serve.host : config.serve.port] (port 0
     binds an ephemeral port — see {!port}). [db] defaults to
     [D.create_db ~config ()]; pass one to serve a database whose
-    schema was registered natively. Raises [Unix.Unix_error] when the
-    address is taken. *)
+    schema was registered natively. Raises [D.Ode_error] naming the
+    field, before anything is built, when a serve knob is out of range
+    ([outbox_bound], [max_batch] or [max_frame_bytes] below 1,
+    [batch_window_ms] below 0), and [Unix.Unix_error] when the address
+    is taken. *)
 
 val port : t -> int
 (** The actually-bound TCP port. *)

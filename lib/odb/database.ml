@@ -57,13 +57,6 @@ let trigger_str = Schema.trigger_str
 let register_class = Engine.register_class
 let register_fun = Schema.register_fun
 
-(* Dispatch-index configuration *)
-
-let set_dispatch_index = Engine.set_dispatch_index
-let dispatch_index_enabled = Engine.dispatch_index_enabled
-let set_posting_kernel = Engine.set_posting_kernel
-let posting_kernel_enabled = Engine.posting_kernel_enabled
-
 (* Observability *)
 
 let observe (db : t) = db.Types.obs
@@ -106,9 +99,6 @@ module Config = struct
     post_domains : int;
     domain_clamp : bool;
     parallel_threshold : int;
-    dispatch_index : bool;
-    posting_kernel : bool;
-    timer_wheel : bool;
     timing : bool;
     serve : serve;
   }
@@ -138,9 +128,6 @@ module Config = struct
       post_domains = 1;
       domain_clamp = true;
       parallel_threshold = 32;
-      dispatch_index = true;
-      posting_kernel = true;
-      timer_wheel = true;
       timing = false;
       serve = default_serve;
     }
@@ -186,15 +173,6 @@ module Config = struct
             n
         | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
     in
-    (* the timer-queue ablation switch: CI runs one leg with
-       ODE_TIMER_QUEUE=list to exercise the reference sorted queue the
-       wheel is pinned against *)
-    let c =
-      match Sys.getenv_opt "ODE_TIMER_QUEUE" with
-      | None | Some "" | Some "wheel" -> c
-      | Some "list" -> { c with timer_wheel = false }
-      | Some s -> Types.ode_error "ODE_TIMER_QUEUE: unknown queue %S" s
-    in
     (* the test/CI override that forces the parallel machinery on even
        for small batches and past the core-count clamp *)
     match Sys.getenv_opt "ODE_POST_DOMAINS" with
@@ -230,6 +208,12 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
   let partitions = c.Config.partitions in
   if partitions < 1 then
     Types.ode_error "partition count must be >= 1 (got %d)" partitions;
+  if c.Config.max_tcomplete_rounds < 1 then
+    Types.ode_error "max_tcomplete_rounds must be >= 1 (got %d)"
+      c.Config.max_tcomplete_rounds;
+  if c.Config.trace_capacity < 1 then
+    Types.ode_error "trace_capacity must be >= 1 (got %d)"
+      c.Config.trace_capacity;
   let db =
     if partitions = 1 then
       let dur =
@@ -261,9 +245,6 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
   Engine.set_post_domains db c.Config.post_domains;
   Engine.set_domain_clamp db c.Config.domain_clamp;
   Engine.set_parallel_threshold db c.Config.parallel_threshold;
-  Engine.set_dispatch_index db c.Config.dispatch_index;
-  Engine.set_posting_kernel db c.Config.posting_kernel;
-  Timewheel.set_wheel db c.Config.timer_wheel;
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
@@ -277,15 +258,11 @@ let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
     "backend=%s durability=%s partitions=%d post_domains=%d domain_clamp=%s \
-     parallel_threshold=%d dispatch_index=%s posting_kernel=%s timer_queue=%s \
-     obs=%s timing=%s clock=%Ldms"
+     parallel_threshold=%d obs=%s timing=%s clock=%Ldms"
     (backend_name db) (durability_name db) (partitions db)
     (Engine.post_domains db)
     (onoff (Engine.domain_clamp db))
     (Engine.parallel_threshold db)
-    (onoff (Engine.dispatch_index_enabled db))
-    (onoff (Engine.posting_kernel_enabled db))
-    (if Timewheel.use_wheel db then "wheel" else "list")
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -293,8 +270,6 @@ let config_summary (db : t) =
 let now = Timewheel.now
 let advance_clock = Timewheel.advance_clock
 let advance_to = Timewheel.advance_to
-let set_timer_wheel = Timewheel.set_wheel
-let timer_wheel_enabled = Timewheel.use_wheel
 let image_bytes = Persist.group_image_bytes
 let save (db : t) path = db.Types.durability.Types.dur_save db path
 let load (db : t) path = db.Types.durability.Types.dur_load db path

@@ -39,7 +39,11 @@
 
 module Value = Ode_base.Value
 
-type t
+type t = Types.db
+(** The representation is visible so the layer modules ([Engine],
+    [Store], [Timewheel], ...) apply to a facade database; ordinary
+    code needs none of them. *)
+
 type txn
 type oid = int
 
@@ -134,31 +138,13 @@ val register_class : t -> class_builder -> unit
     the trigger definitions whose alphabet can react to it, built once
     here so that posting an occurrence touches only those triggers
     instead of scanning every activation on the object (§5's O(1)
-    per-trigger claim, made per-event). *)
-
-val set_dispatch_index : t -> bool -> unit
-(** Per-database switch (default true): when enabled, event posting
-    consults the per-class / per-database dispatch index and touches
-    only the triggers whose alphabet can contain the posted basic
-    event; when disabled, the pre-index brute-force path is used —
-    every active trigger on the object is snapshotted and classified
-    per occurrence. Both paths are observably equivalent
-    (property-tested in [test/test_dispatch.ml]). *)
-
-val dispatch_index_enabled : t -> bool
-
-val set_posting_kernel : t -> bool -> unit
-(** Per-database switch (default true) for the compiled posting kernel:
-    per-class candidate rows resolved through each object's dense
-    activation slots, classification packed into one int code per
-    distinct shared detector, and flat-transition-table stepping over
-    the structure-of-arrays detection state. Only meaningful while the
-    dispatch index is enabled; disabling falls back to the legacy
-    indexed path, which is kept as the equivalence-test reference
-    (property-tested in [test/test_dispatch.ml] and
-    [test/test_shard.ml]). *)
-
-val posting_kernel_enabled : t -> bool
+    per-trigger claim, made per-event). Posting runs the compiled
+    kernel over that index: candidate rows resolved through each
+    object's dense activation slots, classification packed into one
+    int code per distinct shared detector, and flat-transition-table
+    stepping over the structure-of-arrays detection state
+    (property-tested against an independent reference stepper in
+    [test/test_dispatch.ml] and [test/test_shard.ml]). *)
 
 val register_fun : t -> string -> (t -> Value.t list -> Value.t) -> unit
 (** Register a database function callable from masks, e.g.
@@ -189,8 +175,7 @@ type durability_spec = [ `Image | `Wal of Wal.config ]
     over it) accepts, gathered into one plain record. Historically the
     knobs accreted as five [create_db] optionals plus post-hoc setters
     ({!set_post_domains}, {!set_parallel_threshold},
-    {!set_domain_clamp}, {!set_posting_kernel},
-    [Ode_obs.Registry.set_timing]) plus three environment variables
+    {!set_domain_clamp}, [Ode_obs.Registry.set_timing]) plus three environment variables
     parsed in three different places; {!Config.t} is now the single
     source of truth. The old optionals and setters remain as thin,
     documented shims over it. *)
@@ -232,15 +217,6 @@ module Config : sig
     post_domains : int;
     domain_clamp : bool;
     parallel_threshold : int;
-    dispatch_index : bool;
-    posting_kernel : bool;
-    timer_wheel : bool;
-        (** pending-timer representation (default true): the
-            hierarchical hashed timing wheel — O(1) arm and cancel at
-            any queue depth. [false] selects the reference sorted list
-            the wheel is pinned against (ODE_TIMER_QUEUE=list); both
-            deliver in identical (due, seq) order and serialize to
-            identical bytes. See [Timewheel]. *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -253,8 +229,7 @@ module Config : sig
   val default : t
   (** The documented defaults, environment ignored: heap backend,
       image durability, 1 partition, 1 post domain (clamped,
-      threshold 32), dispatch index and posting kernel on, timing
-      off, {!default_serve}. *)
+      threshold 32), timing off, {!default_serve}. *)
 
   val of_env : unit -> t
   (** {!default} with the four environment overrides applied — the
@@ -285,7 +260,9 @@ val create_db :
     [before tcomplete] fixpoint at commit; when a commit's rounds
     exceed it, {!commit} raises {!Ode_error} naming the round count
     instead of livelocking. [trace_capacity] (default 1024, must be
-    >= 1) sizes the observability trace ring — see {!observe}. The
+    >= 1) sizes the observability trace ring — see {!observe}. A
+    partition count, [max_tcomplete_rounds] or [trace_capacity] below 1
+    raises {!Ode_error} naming the field. The
     chosen durability backend is attached (its [dur_attach]) before
     this returns: a WAL database starts logging from its very first
     commit. *)
@@ -293,11 +270,10 @@ val create_db :
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
     backend, durability, partition count, domain/threshold settings,
-    dispatch/kernel switches, observability state and the clock — e.g.
+    observability state and the clock — e.g.
     ["backend=sharded:8 durability=wal:/var/ode partitions=2 \
-     post_domains=4 domain_clamp=on parallel_threshold=32 \
-     dispatch_index=on posting_kernel=on obs=off timing=off \
-     clock=0ms"].
+     post_domains=4 domain_clamp=on parallel_threshold=32 obs=off \
+     timing=off clock=0ms"].
     Surfaced by [odec schema] and the server's [status] verb.
     {!backend_name} and {!durability_name} are its two components kept
     as standalone accessors. *)
@@ -345,16 +321,6 @@ val advance_clock : t -> int64 -> unit
     order. Each timer delivery runs in its own system transaction. *)
 
 val advance_to : t -> int64 -> unit
-
-val set_timer_wheel : t -> bool -> unit
-(** Switch the pending-timer representation in place (all partition
-    members): [true] the hierarchical timing wheel, [false] the
-    reference sorted list. The pending set, delivery order and
-    serialized bytes are unchanged — only arm/cancel/advance costs
-    move. Normally set once via {!Config.t.timer_wheel} /
-    ODE_TIMER_QUEUE. *)
-
-val timer_wheel_enabled : t -> bool
 
 val save : t -> string -> unit
 (** Persist all objects (fields, trigger activations and their automaton

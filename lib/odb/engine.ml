@@ -13,7 +13,7 @@ open Types
 (* Every probe below is guarded by the caller on
    [Registry.enabled db.obs]; with observability off the pipeline pays
    one boolean load per probe site (E10-obs-overhead in EXPERIMENTS.md
-   keeps this honest against the E9-dispatch baseline). *)
+   keeps this honest). *)
 
 (* Memoized per database: formatting the key with [Format.asprintf] on
    every enabled post would dominate the probe cost. Only the sequential
@@ -31,37 +31,14 @@ let kind_name db basic =
 let count_active triggers =
   Hashtbl.fold (fun _ at n -> if at.at_active then n + 1 else n) triggers 0
 
-(* Counters for one dispatch decision: how many candidates reach the
-   classifier, and how many active triggers the index pruned away. *)
-let record_dispatch obs ~indexed ~n_active ~n_candidates =
-  Registry.add obs Registry.Classified n_candidates;
-  if indexed then
-    Registry.add obs Registry.Index_skipped (max 0 (n_active - n_candidates))
-
 (* ------------------------------------------------------------------ *)
-(* Dispatch-index configuration                                        *)
+(* Test seam                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-database switch in [engine_state.use_dispatch_index] (default
-   true); the ablation bench and the equivalence property test flip it
-   per database to force the brute-force reference path. *)
-let set_dispatch_index db flag = db.engine.use_dispatch_index <- flag
-let dispatch_index_enabled db = db.engine.use_dispatch_index
-
-let use_index db = db.engine.use_dispatch_index
-
-(* ------------------------------------------------------------------ *)
-(* Posting-kernel configuration                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* The compiled kernel (candidate rows, packed classification codes,
-   flat-table stepping over the SoA state blocks) is the default path.
-   Turning it off falls back to the legacy indexed path — kept both as
-   the equivalence-test reference and as the only path when the
-   dispatch index itself is disabled. *)
-let set_posting_kernel db flag = db.engine.use_posting_kernel <- flag
-let posting_kernel_enabled db = db.engine.use_posting_kernel
-let use_kernel db = db.engine.use_posting_kernel && use_index db
+(* The compiled kernel below is the only production classify/step path.
+   The equivalence tests install an independent reference stepper here,
+   per database, and run the same workload through both. *)
+let set_stepper db stepper = db.engine.stepper <- stepper
 
 (* Per-lane scratch buffers, built on first kernel post. A lane is a
    (partition member, shard) pair — just a shard when unpartitioned —
@@ -102,65 +79,21 @@ let flush_scratch_counters obs sc =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Classification cache                                                *)
+(* Database-scope candidate selection                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Classify the occurrence at most once per distinct compiled detector:
-   triggers declaring the same event share a detector (Detector.make
-   ~share) and reuse the cached result. The cache is per occurrence; a
-   short assoc list on physical identity beats hashing for the handful of
-   candidates a post touches. It is capped so that a post touching many
-   {e distinct} detectors (only possible on the brute-force reference
-   path) stays linear instead of walking an ever-longer list. *)
-let classify_cache_cap = 16
-
-let classify_cached cache detector ~env occurrence =
-  let rec find n = function
-    | [] -> Error n
-    | (d, c) :: rest -> if d == detector then Ok c else find (n + 1) rest
-  in
-  match find 0 !cache with
-  | Ok c -> c
-  | Error n ->
-    let c = Detector.classify detector ~env occurrence in
-    if n < classify_cache_cap then cache := (detector, c) :: !cache;
-    c
-
-(* ------------------------------------------------------------------ *)
-(* Candidate-trigger selection                                         *)
-(* ------------------------------------------------------------------ *)
-
-let candidate_triggers db obj (basic : Symbol.basic) =
-  if use_index db then
-    match Hashtbl.find_opt obj.o_class.k_dispatch (Symbol.basic_key basic) with
-    | None -> []
-    | Some defs ->
-      List.filter_map
-        (fun (d : trigger_def) ->
-          match Hashtbl.find_opt obj.o_triggers d.t_name with
-          | Some at when at.at_active -> Some at
-          | Some _ | None -> None)
-        defs
-  else
-    Hashtbl.fold
-      (fun _ at acc -> if at.at_active then at :: acc else acc)
-      obj.o_triggers []
-
+(* The active database-scope triggers whose alphabet can react to the
+   posted basic, in declaration order (the [db_dispatch] index). *)
 let db_candidate_triggers db (basic : Symbol.basic) =
-  if use_index db then
-    match Hashtbl.find_opt db.schema.db_dispatch (Symbol.basic_key basic) with
-    | None -> []
-    | Some defs ->
-      List.filter_map
-        (fun (d : trigger_def) ->
-          match Hashtbl.find_opt db.engine.db_triggers d.t_name with
-          | Some at when at.at_active -> Some at
-          | Some _ | None -> None)
-        defs
-  else
-    Hashtbl.fold
-      (fun _ at acc -> if at.at_active then at :: acc else acc)
-      db.engine.db_triggers []
+  match Hashtbl.find_opt db.schema.db_dispatch (Symbol.basic_key basic) with
+  | None -> []
+  | Some defs ->
+    List.filter_map
+      (fun (d : trigger_def) ->
+        match Hashtbl.find_opt db.engine.db_triggers d.t_name with
+        | Some at when at.at_active -> Some at
+        | Some _ | None -> None)
+      defs
 
 (* ------------------------------------------------------------------ *)
 (* Firing notification: subscriptions                                  *)
@@ -212,7 +145,8 @@ let unsubscribe db s =
         sequential, in batch then declaration order.
 
    [post] runs all three inline on one occurrence; [post_many] runs
-   phase 1+2 per shard (possibly in parallel) and phase 3 once. *)
+   phase 1+2 per shard (possibly in parallel) and phase 3 once; the
+   compiled kernel below implements phases 1+2 for object scope. *)
 
 let mask_error at msg =
   if at.at_def.t_class = "<database>" then
@@ -221,70 +155,6 @@ let mask_error at msg =
   else
     ode_error "trigger %s.%s: mask evaluation failed: %s" at.at_def.t_class
       at.at_def.t_name msg
-
-(* Phase 1. Returns candidates paired with their classification, in
-   candidate (declaration) order. Classification happens strictly before
-   any stepping: masks are required to be side-effect-free (§7), so the
-   hoisting is unobservable. *)
-let classify_phase ~env occurrence candidates =
-  let cache = ref [] in
-  List.map
-    (fun (at : active_trigger) ->
-      let c =
-        try classify_cached cache at.at_def.t_detector ~env occurrence
-        with Mask.Eval_error msg -> mask_error at msg
-      in
-      (at, c))
-    candidates
-
-(* Phase 2, for one activation. Committed-mode snapshots go to [undo] —
-   the caller's segment, merged into the transaction log afterwards (a
-   per-shard segment under [post_many]). Mutates only this activation's
-   state, so distinct activations step safely in parallel; the
-   observability emissions are atomic (counters) or mutexed (spans). *)
-let step_activation db ~undo ~scope (at : active_trigger) ~env c occurrence =
-  let obs = db.obs in
-  let on = Registry.enabled obs in
-  let detector = at.at_def.t_detector in
-  try
-    let relevant = Detector.is_relevant c in
-    if relevant && detector.Detector.mode = Detector.Committed then begin
-      (* an irrelevant occurrence provably changes neither the automaton
-         state nor the collected bindings, so the undo copies are only
-         taken here *)
-      undo := U_trigger_state (at, at_state_copy at) :: !undo;
-      undo := U_trigger_collected (at, at.at_collected) :: !undo
-    end;
-    if relevant then
-      List.iter
-        (fun (name, v) ->
-          at.at_collected <- (name, v) :: List.remove_assoc name at.at_collected)
-        (Detector.collect_classified detector c occurrence);
-    (match at.at_provenance with
-    | Some prov ->
-      at.at_last_witnesses <- Ode_event.Provenance.post prov ~env occurrence
-    | None -> ());
-    let old_top = if on then at_top_state at else 0 in
-    let r =
-      match at.at_state with
-      | S_words w -> Detector.post_classified detector w ~env c
-      | S_slot (blk, slot) ->
-        Detector.post_classified_slot detector blk.blk_state
-          (slot * blk.blk_words) ~env c
-    in
-    if on && relevant then begin
-      Registry.incr obs Registry.Transitions;
-      Registry.incr obs
-        (match at.at_state with
-        | S_slot _ -> Registry.Slot_transitions
-        | S_words _ -> Registry.Word_transitions);
-      Registry.span obs
-        (Trace.Advanced
-           { scope; trigger = at.at_def.t_name; old_state = old_top;
-             new_state = at_top_state at })
-    end;
-    r
-  with Mask.Eval_error msg -> mask_error at msg
 
 (* ------------------------------------------------------------------ *)
 (* The compiled posting kernel                                         *)
@@ -300,10 +170,13 @@ let step_activation db ~undo ~scope (at : active_trigger) ~env c occurrence =
    that fires nothing allocates nothing beyond the occurrence and the
    dispatch key.
 
-   Semantics are bit-identical to the legacy indexed path: candidates in
-   declaration order, classification errors raised before any automaton
-   steps (matching [classify_phase]'s hoisting), identical undo
-   snapshots, collection merges, provenance posts and span emissions. *)
+   Candidates are walked in declaration order. Every candidate is
+   classified before any automaton steps: masks are required to be
+   side-effect-free (§7), so the hoisting is unobservable, and a mask
+   failure aborts the post before any state moved. An irrelevant
+   occurrence provably changes neither the automaton state nor the
+   collected bindings, so committed-mode undo snapshots are only taken
+   for relevant ones. *)
 
 let unclassified = min_int
 
@@ -320,8 +193,7 @@ let rec count_candidates (defs : trigger_def array)
 
 (* Classification pass: walk candidates in declaration order, classify
    each distinct detector on first use. Mask failures are attributed to
-   the first candidate using the detector, exactly as the legacy
-   [classify_phase]. *)
+   the first candidate using the detector. *)
 let rec classify_pass sc (row : krow) (o_acts : active_trigger option array)
     occurrence i =
   if i < Array.length row.kr_defs then begin
@@ -337,7 +209,11 @@ let rec classify_pass sc (row : krow) (o_acts : active_trigger option array)
   end
 
 (* Step pass: advance each active candidate, accumulating the fired
-   set in reverse (steady state: no cons). Mirrors [step_activation]. *)
+   set in reverse (steady state: no cons). Committed-mode snapshots go
+   to [undo] — the caller's segment, merged into the transaction log
+   afterwards (a per-shard segment under [post_many]). Mutates only the
+   candidates' own state, so distinct objects step safely in parallel;
+   the span emissions are mutexed. *)
 let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
   if i >= Array.length row.kr_defs then List.rev acc
   else
@@ -403,7 +279,7 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
     []
   | Some row ->
     (* dispatch accounting first — complete before a mask can blow up
-       mid-classification, matching the legacy [record_dispatch] site *)
+       mid-classification *)
     let n_cand = count_candidates row.kr_defs obj.o_acts 0 0 in
     if on then begin
       sc.sc_classified <- sc.sc_classified + n_cand;
@@ -423,6 +299,13 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
       classify_pass sc row obj.o_acts occurrence 0;
       step_pass db ~undo ~on sc row obj occurrence 0 []
     end
+
+(* Phases 1+2 for one occurrence on one object: the kernel, unless a
+   test stepper is installed. *)
+let step_one db ~undo ~on sc obj occurrence =
+  match db.engine.stepper with
+  | None -> kernel_post_one db ~undo ~on sc obj occurrence
+  | Some step -> step db ~undo obj occurrence
 
 (* ------------------------------------------------------------------ *)
 (* The firing pipeline                                                 *)
@@ -482,6 +365,13 @@ let post_fired db tx obj occurrence fired =
     fired;
   fired <> []
 
+(* End one post's step phase: merge its undo segment — even when a mask
+   blew up mid-walk, so an abort still restores the already-stepped
+   committed-mode candidates — and flush its counters. *)
+let retire_step tx undo ~on obs sc =
+  if !undo <> [] then tx.tx_undo <- !undo @ tx.tx_undo;
+  if on then flush_scratch_counters obs sc
+
 (* The §5 monitoring pipeline: advance the automaton of every active
    trigger the occurrence can concern (per the dispatch index), collect
    the set that fired, then execute their actions (order unspecified in
@@ -502,73 +392,30 @@ let post db tx obj (basic : Symbol.basic) args =
          { scope = Trace.Obj obj.o_id; basic = kind_name db basic; txn = tx.tx_id;
            at_ms = occurrence.Symbol.at })
   end;
-  let result =
-    if use_kernel db then begin
-      let sc = (ensure_scratch db).(Store.lane_of db obj.o_id) in
-      let undo = ref [] in
-      let merge () =
-        if !undo <> [] then begin
-          tx.tx_undo <- !undo @ tx.tx_undo;
-          undo := []
-        end
-      in
-      let fired =
-        match kernel_post_one db ~undo ~on sc obj occurrence with
-        | fired ->
-          merge ();
-          if on then flush_scratch_counters obs sc;
-          fired
-        | exception e ->
-          merge ();
-          if on then flush_scratch_counters obs sc;
-          raise e
-      in
-      post_fired db tx obj occurrence fired
-    end
-    else begin
-      let candidates = candidate_triggers db obj basic in
-      if on then
-        record_dispatch obs ~indexed:(use_index db) ~n_active:obj.o_n_active
-          ~n_candidates:(List.length candidates);
-      match candidates with
-      | [] -> false
-      | candidates ->
-        let env = Store.mask_env db obj in
-        let classified = classify_phase ~env occurrence candidates in
-        let undo = ref [] in
-        let merge () =
-          if !undo <> [] then begin
-            tx.tx_undo <- !undo @ tx.tx_undo;
-            undo := []
-          end
-        in
-        (* step phase; the undo segment is merged even when a mask blows
-           up mid-walk, so an abort still restores the already-stepped
-           committed-mode candidates *)
-        let fired =
-          match
-            List.filter
-              (fun (at, c) ->
-                step_activation db ~undo ~scope:(Trace.Obj obj.o_id) at ~env c
-                  occurrence)
-              classified
-          with
-          | stepped ->
-            merge ();
-            List.map fst stepped
-          | exception e ->
-            merge ();
-            raise e
-        in
-        post_fired db tx obj occurrence fired
-    end
+  let sc = (ensure_scratch db).(Store.lane_of db obj.o_id) in
+  let undo = ref [] in
+  let fired =
+    match step_one db ~undo ~on sc obj occurrence with
+    | fired ->
+      retire_step tx undo ~on obs sc;
+      fired
+    | exception e ->
+      retire_step tx undo ~on obs sc;
+      raise e
   in
+  let result = post_fired db tx obj occurrence fired in
   if timed then Registry.record_ns obs Registry.Post (Registry.now_ns () - t0);
   result
 
-(* Packed-code classification with the same once-per-distinct-detector
-   sharing (and first-user mask-failure attribution) as
-   [classify_cached], for the partition forwarding path below. *)
+(* Classify the occurrence at most once per distinct compiled detector:
+   triggers declaring the same event share a detector (Detector.make
+   ~share) and reuse the cached packed code; a mask failure is
+   attributed to the first candidate using the detector. The cache is
+   per occurrence; a short assoc list on physical identity beats
+   hashing for the handful of candidates a post touches, and the cap
+   keeps a post touching many {e distinct} detectors linear. *)
+let classify_cache_cap = 16
+
 let classify_code_cached cache detector ~env occurrence =
   let rec find n = function
     | [] -> Error n
@@ -581,11 +428,10 @@ let classify_code_cached cache detector ~env occurrence =
     if n < classify_cache_cap then cache := (detector, c) :: !cache;
     c
 
-(* Step one database-scope activation from a forwarded packed code —
-   [step_activation] with the classification already collapsed to an
-   int. Database triggers are always Full_history mode, so no undo
-   snapshots are ever due; every probe mirrors [step_activation]
-   exactly (the partition-equivalence suite pins the counters). *)
+(* Step one database-scope activation from its packed code. Database
+   triggers are always Full_history mode, so no undo snapshots are ever
+   due; the probes match the kernel's (the partition-equivalence suite
+   pins the counters). *)
 let step_db_code db (at : active_trigger) ~env code occurrence =
   let obs = db.obs in
   let on = Registry.enabled obs in
@@ -640,59 +486,42 @@ let post_db db (basic : Symbol.basic) args =
            at_ms = db.wheel.clock_ms })
   end;
   let candidates = db_candidate_triggers db basic in
-  if on then
-    record_dispatch obs ~indexed:(use_index db)
-      ~n_active:(count_active db.engine.db_triggers)
-      ~n_candidates:(List.length candidates);
+  if on then begin
+    let n = List.length candidates in
+    Registry.add obs Registry.Classified n;
+    Registry.add obs Registry.Index_skipped
+      (max 0 (count_active db.engine.db_triggers - n))
+  end;
   match candidates with
   | [] -> ()
   | candidates ->
     let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
     let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
+    (* The event is classified {e at its origin} — the member owning
+       the affected oid (the db itself when unpartitioned), whose mask
+       environment sees that member's slice directly (dereferences
+       still route group-wide) — into one packed int code per distinct
+       detector; the codes are then stepped on the facade-owned
+       automata. Every candidate is classified before any steps, as in
+       the kernel. *)
+    let origin = Types.owner_db db affected in
+    let env = Store.db_mask_env origin in
+    let cache = ref [] in
+    let coded =
+      List.map
+        (fun (at : active_trigger) ->
+          let code =
+            try classify_code_cached cache at.at_def.t_detector ~env occurrence
+            with Mask.Eval_error msg -> mask_error at msg
+          in
+          (at, code))
+        candidates
+    in
     let fired =
-      match db.part with
-      | None ->
-        let env = Store.db_mask_env db in
-        let classified = classify_phase ~env occurrence candidates in
-        (* database triggers are always Full_history mode, so the step
-           phase takes no undo snapshots; the throwaway segment keeps
-           one code path *)
-        List.filter_map
-          (fun (at, c) ->
-            if
-              step_activation db ~undo:(ref []) ~scope:Trace.Db at ~env c
-                occurrence
-            then Some at
-            else None)
-          classified
-      | Some _ ->
-        (* Partitioned: the cross-partition composite path. The event
-           is classified {e at its origin} — the member owning the
-           affected oid, whose mask environment sees that member's
-           slice directly (dereferences still route group-wide) — into
-           one packed int code per distinct detector, and the codes are
-           forwarded to the facade-owned automaton slots and stepped
-           there. Same classify-all-then-step-all hoisting as
-           [classify_phase]. *)
-        let origin = Types.owner_db db affected in
-        let env = Store.db_mask_env origin in
-        let cache = ref [] in
-        let coded =
-          List.map
-            (fun (at : active_trigger) ->
-              let code =
-                try
-                  classify_code_cached cache at.at_def.t_detector ~env
-                    occurrence
-                with Mask.Eval_error msg -> mask_error at msg
-              in
-              (at, code))
-            candidates
-        in
-        List.filter_map
-          (fun (at, code) ->
-            if step_db_code db at ~env code occurrence then Some at else None)
-          coded
+      List.filter_map
+        (fun (at, code) ->
+          if step_db_code db at ~env code occurrence then Some at else None)
+        coded
     in
     List.iter
       (fun at ->
@@ -927,8 +756,7 @@ let post_many_nonempty db items =
   let on = Registry.enabled obs in
   let timed = Registry.timing obs in
   let t0 = if timed then Registry.now_ns () else 0 in
-  let kernel = use_kernel db in
-  let scratch = if kernel then ensure_scratch db else [||] in
+  let scratch = ensure_scratch db in
   (* Phase 0 — sequential, batch order: resolve targets, first-touch
      [after tbegin], write locks, §9 history, Posted probes. *)
   let resolved =
@@ -1002,47 +830,20 @@ let post_many_nonempty db items =
   let step_shard s =
     let undo = ref [] in
     let lo = q_off.(s) and hi = q_off.(s + 1) in
-    if kernel then
-      (* kernel sweep: the shard task owns its scratch; counters batch
-         there and flush once per task, so the inner loop's only shared
-         writes are the disjoint [fired] slots *)
-      let sc = scratch.(s) in
-      Fun.protect
-        ~finally:(fun () ->
-          segments.(s) <- !undo;
-          if on then flush_scratch_counters obs sc)
-        (fun () ->
-          for j = lo to hi - 1 do
-            let i = q_items.(j) in
-            let obj, occurrence = resolved.(i) in
-            fired.(i) <- kernel_post_one db ~undo ~on sc obj occurrence
-          done)
-    else
-      Fun.protect
-        ~finally:(fun () -> segments.(s) <- !undo)
-        (fun () ->
-          for j = lo to hi - 1 do
-            let i = q_items.(j) in
-            let obj, occurrence = resolved.(i) in
-            let basic = occurrence.Symbol.basic in
-            let candidates = candidate_triggers db obj basic in
-            if on then
-              record_dispatch obs ~indexed:(use_index db)
-                ~n_active:obj.o_n_active
-                ~n_candidates:(List.length candidates);
-            match candidates with
-            | [] -> ()
-            | candidates ->
-              let env = Store.mask_env db obj in
-              let classified = classify_phase ~env occurrence candidates in
-              fired.(i) <-
-                List.map fst
-                  (List.filter
-                     (fun (at, c) ->
-                       step_activation db ~undo ~scope:(Trace.Obj obj.o_id) at
-                         ~env c occurrence)
-                     classified)
-          done)
+    (* the shard task owns its scratch; counters batch there and flush
+       once per task, so the inner loop's only shared writes are the
+       disjoint [fired] slots *)
+    let sc = scratch.(s) in
+    Fun.protect
+      ~finally:(fun () ->
+        segments.(s) <- !undo;
+        if on then flush_scratch_counters obs sc)
+      (fun () ->
+        for j = lo to hi - 1 do
+          let i = q_items.(j) in
+          let obj, occurrence = resolved.(i) in
+          fired.(i) <- step_one db ~undo ~on sc obj occurrence
+        done)
   in
   (* Effective parallelism: never more domains than shards; by default
      never more than the box has cores (oversubscription buys only

@@ -1,7 +1,7 @@
-(** Engine layer: the §5 event-posting pipeline — candidate-trigger
-    selection via the dispatch indexes, the per-occurrence
-    classification cache, the firing pipeline, system-transaction
-    posting — plus the object and trigger operations that compose the
+(** Engine layer: the §5 event-posting pipeline — the compiled
+    posting kernel (candidate rows, packed classification codes,
+    flat-table stepping), database-scope dispatch, the firing
+    pipeline, system-transaction posting — plus the object and trigger operations that compose the
     layers below (create/delete/call drive Store + Txn + the pipeline).
 
     Top of the subsystem stack: depends on {!Schema}, {!Store}, {!Txn}
@@ -12,28 +12,22 @@
 module Value = Ode_base.Value
 open Types
 
-(** {1 Dispatch-index configuration} *)
+(** {1 Test seam} *)
 
-val set_dispatch_index : db -> bool -> unit
-(** Per-database switch (default true): when enabled, posting consults
-    the per-class / per-database dispatch index and touches only the
-    triggers whose alphabet can contain the posted basic event; when
-    disabled, every active trigger is snapshotted and classified. *)
-
-val dispatch_index_enabled : db -> bool
-
-(** {1 Posting-kernel configuration} *)
-
-val set_posting_kernel : db -> bool -> unit
-(** Per-database switch (default true) for the compiled posting kernel:
-    per-class candidate rows, packed classification codes and flat-table
-    stepping over the structure-of-arrays detection state. Only
-    meaningful while the dispatch index is enabled — with the index off,
-    posting always takes the brute-force reference path. Disabling falls
-    back to the legacy indexed path, kept as the equivalence-test
-    reference. *)
-
-val posting_kernel_enabled : db -> bool
+val set_stepper :
+  db ->
+  (db -> undo:undo_entry list ref -> obj -> Ode_event.Symbol.occurrence ->
+   active_trigger list)
+  option ->
+  unit
+(** Replace the compiled kernel's classify/step phases for object-scope
+    posts on this database (every partition member) with a reference
+    stepper; [None] (the state of every database at creation) restores
+    the kernel. The stepper receives the committed-mode undo segment to
+    extend and returns the fired activations in firing order; it may be
+    called from {!post_many}'s parallel step tasks. This exists for the
+    equivalence tests, which drive one workload through the kernel and
+    through an independent oracle — nothing else sets it. *)
 
 (** {1 The posting pipeline} *)
 

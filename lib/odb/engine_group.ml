@@ -48,7 +48,7 @@ let make ~backend_of ~partitions ?start_time ?max_tcomplete_rounds
               wheel =
                 {
                   clock_ms = m0.wheel.clock_ms;
-                  tq = Tq_list [];
+                  tq = make_wheel ();
                   timers_dirty = false;
                   tm_next_seq = 0;
                 };

@@ -186,8 +186,8 @@ let image_bytes db =
   (* backend-neutral: [live_objects] sorts to ascending oid per the
      Store ordering contract, so Heap and Sharded images are identical *)
   Codec.write_list w write_obj (Store.live_objects db);
-  (* [Timewheel.pending] emits (due, seq) order for either queue
-     representation, so list and wheel images are byte-identical *)
+  (* [Timewheel.pending] emits (due, seq) order, whatever the wheel's
+     internal placement *)
   Codec.write_list w write_timer (Timewheel.pending db);
   Codec.contents w
 

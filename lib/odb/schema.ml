@@ -100,7 +100,6 @@ let register_class db b =
       k_methods = Hashtbl.create 8;
       k_triggers = Hashtbl.create 8;
       k_n_triggers = List.length b.b_triggers;
-      k_dispatch = Hashtbl.create 16;
       k_rows = Hashtbl.create 16;
       k_constructor = b.b_constructor;
     }
@@ -122,10 +121,11 @@ let register_class db b =
      deterministic *)
   let in_order = List.rev b.b_triggers in
   List.iteri (fun i (d : trigger_def) -> d.t_index <- i) in_order;
-  List.iter (index_trigger_def k.k_dispatch) in_order;
+  let dispatch = Hashtbl.create 16 in
+  List.iter (index_trigger_def dispatch) in_order;
   Hashtbl.iter
     (fun key defs -> Hashtbl.replace k.k_rows key (make_krow defs))
-    k.k_dispatch;
+    dispatch;
   Hashtbl.add db.schema.classes b.b_name k;
   if Registry.enabled db.obs then begin
     Registry.incr db.obs Registry.Classes_registered;

@@ -45,28 +45,15 @@ let cmp_key (a : timer) (b : timer) =
 (* cancellation is O(timers-on-that-object).                           *)
 (* ------------------------------------------------------------------ *)
 
-let bits = 6
-let wslots = 64
-let wmask = 63
-let nlevels = 8
+let bits = Types.wheel_bits
+let wslots = Types.wheel_slots
+let wmask = wslots - 1
+let nlevels = Types.wheel_levels
 
 (* [tn_level] address codes outside 0..nlevels-1 *)
 let lvl_ovf = -1 (* beyond the top level's rotation *)
 let lvl_detached = -2
 let lvl_past = -3 (* due <= clock: recovery clock-skew only *)
-
-let make_wheel () =
-  {
-    tw_slots = Array.init nlevels (fun _ -> Array.make wslots None);
-    tw_counts = Array.make nlevels 0;
-    tw_ovf = None;
-    tw_ovf_n = 0;
-    tw_past = None;
-    tw_past_n = 0;
-    tw_n = 0;
-    tw_peek = None;
-    tw_index = Hashtbl.create 64;
-  }
 
 (* The lowest level whose current rotation covers [due]: the smallest l
    with [due >> bits*(l+1) = clock >> bits*(l+1)]; [lvl_ovf] when even
@@ -258,8 +245,7 @@ let remove_node w n =
   index_remove w n;
   w.tw_n <- w.tw_n - 1
 
-(* Every pending timer, in (due, seq) order — the serialization order,
-   identical to the sorted-list representation's queue. *)
+(* Every pending timer, in (due, seq) order — the serialization order. *)
 let wheel_all w =
   let acc = ref [] in
   let rec chain = function
@@ -274,24 +260,11 @@ let wheel_all w =
   List.sort cmp_key !acc
 
 (* ------------------------------------------------------------------ *)
-(* The member queue: one dispatch layer over both representations      *)
+(* The member queue                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Sorted-list insert, the reference representation's O(n) arm.
-   Tail-recursive: the benchmark baseline runs it at 10^6 entries. *)
-let list_ins tm tms =
-  let rec go acc = function
-    | t :: rest
-      when key_lt t tm || (t.tm_due = tm.tm_due && t.tm_seq = tm.tm_seq) ->
-      go (t :: acc) rest
-    | rest -> List.rev_append acc (tm :: rest)
-  in
-  go [] tms
-
 let member_insert m tm =
-  (match m.wheel.tq with
-  | Tq_list tms -> m.wheel.tq <- Tq_list (list_ins tm tms)
-  | Tq_wheel w -> wheel_insert w ~clock:m.wheel.clock_ms tm);
+  wheel_insert m.wheel.tq ~clock:m.wheel.clock_ms tm;
   m.wheel.timers_dirty <- true
 
 (* Fresh insertion-order stamp, allocated from the facade wheel so the
@@ -310,49 +283,29 @@ let fresh_seq db =
 let insert_timer db tm = member_insert (Types.owner_db db tm.tm_oid) tm
 
 (* ------------------------------------------------------------------ *)
-(* Persistence and representation plumbing                             *)
+(* Persistence plumbing                                                *)
 (* ------------------------------------------------------------------ *)
 
-let pending db =
-  match db.wheel.tq with Tq_list tms -> tms | Tq_wheel w -> wheel_all w
+let pending db = wheel_all db.wheel.tq
 
 let pending_count db = Types.timerq_count db.wheel
 
 let clear db =
-  db.wheel.tq <-
-    (match db.wheel.tq with
-    | Tq_list _ -> Tq_list []
-    | Tq_wheel _ -> Tq_wheel (make_wheel ()));
+  db.wheel.tq <- make_wheel ();
   db.wheel.timers_dirty <- true
 
-(* Bulk-load a (due, seq)-sorted queue (WAL replay, image load): the
-   list representation takes it verbatim, the wheel re-places every
-   timer at the member's current clock — set the clock first. *)
+(* A fresh wheel holding [tms], placed against [clock]. *)
+let rebuild ~clock tms =
+  let w = make_wheel () in
+  List.iter (wheel_insert w ~clock) tms;
+  w
+
+(* Bulk-load a (due, seq)-sorted queue (WAL replay, image load): every
+   timer is re-placed at the member's current clock — set the clock
+   first. *)
 let replace db tms =
-  (match db.wheel.tq with
-  | Tq_list _ -> db.wheel.tq <- Tq_list tms
-  | Tq_wheel _ ->
-    let w = make_wheel () in
-    List.iter (wheel_insert w ~clock:db.wheel.clock_ms) tms;
-    db.wheel.tq <- Tq_wheel w);
+  db.wheel.tq <- rebuild ~clock:db.wheel.clock_ms tms;
   db.wheel.timers_dirty <- true
-
-let use_wheel db =
-  match (Types.primary db).wheel.tq with Tq_wheel _ -> true | Tq_list _ -> false
-
-(* Switch every member's representation in place. The pending set (and
-   so the serialized bytes) is preserved exactly; only the shape moves. *)
-let set_wheel db enabled =
-  Array.iter
-    (fun m ->
-      match (m.wheel.tq, enabled) with
-      | Tq_list tms, true ->
-        let w = make_wheel () in
-        List.iter (wheel_insert w ~clock:m.wheel.clock_ms) tms;
-        m.wheel.tq <- Tq_wheel w
-      | Tq_wheel w, false -> m.wheel.tq <- Tq_list (wheel_all w)
-      | Tq_list _, false | Tq_wheel _, true -> ())
-    (Store.members db)
 
 (* Replay-time clock hop for one member: move the clock while keeping
    the wheel's placement invariant, delivering nothing. Forward hops
@@ -364,30 +317,17 @@ let set_member_clock m c =
   let from_ = m.wheel.clock_ms in
   if c <> from_ then begin
     m.wheel.clock_ms <- c;
-    match m.wheel.tq with
-    | Tq_list _ -> ()
-    | Tq_wheel w ->
-      if c > from_ then wheel_advance w ~from_ ~to_:c
-      else begin
-        let w' = make_wheel () in
-        List.iter (wheel_insert w' ~clock:c) (wheel_all w);
-        m.wheel.tq <- Tq_wheel w'
-      end
+    if c > from_ then wheel_advance m.wheel.tq ~from_ ~to_:c
+    else m.wheel.tq <- rebuild ~clock:c (wheel_all m.wheel.tq)
   end
 
 (* Rebuild each member's wheel against its current clock. Needed after
    group recovery maxes member clocks to the group-wide latest: nodes
    were placed under a member-local (possibly earlier) clock, and the
-   placement invariant is clock-relative. No-op for lists. *)
+   placement invariant is clock-relative. *)
 let resync db =
   Array.iter
-    (fun m ->
-      match m.wheel.tq with
-      | Tq_list _ -> ()
-      | Tq_wheel w ->
-        let w' = make_wheel () in
-        List.iter (wheel_insert w' ~clock:m.wheel.clock_ms) (wheel_all w);
-        m.wheel.tq <- Tq_wheel w')
+    (fun m -> m.wheel.tq <- rebuild ~clock:m.wheel.clock_ms (wheel_all m.wheel.tq))
     (Store.members db)
 
 (* ------------------------------------------------------------------ *)
@@ -399,82 +339,55 @@ let resync db =
    so an abort restores the queue byte-for-byte (seqs preserved). *)
 let cancel_object db oid =
   let m = Types.owner_db db oid in
-  match m.wheel.tq with
-  | Tq_list tms ->
-    let cancelled, keep = List.partition (fun t -> t.tm_oid = oid) tms in
-    if cancelled <> [] then begin
-      m.wheel.tq <- Tq_list keep;
-      m.wheel.timers_dirty <- true
-    end;
-    cancelled
-  | Tq_wheel w -> (
-    match Hashtbl.find_opt w.tw_index oid with
-    | None -> []
-    | Some ns ->
-      Hashtbl.remove w.tw_index oid;
-      List.iter
-        (fun n ->
-          unlink_node w n;
-          w.tw_n <- w.tw_n - 1)
-        ns;
-      m.wheel.timers_dirty <- true;
-      List.sort cmp_key (List.map (fun n -> n.tn_timer) ns))
+  let w = m.wheel.tq in
+  match Hashtbl.find_opt w.tw_index oid with
+  | None -> []
+  | Some ns ->
+    Hashtbl.remove w.tw_index oid;
+    List.iter
+      (fun n ->
+        unlink_node w n;
+        w.tw_n <- w.tw_n - 1)
+      ns;
+    m.wheel.timers_dirty <- true;
+    List.sort cmp_key (List.map (fun n -> n.tn_timer) ns)
 
 (* Cancel the pending timers of one trigger on one object (deactivate,
    or the epoch bump of a re-activation), in (due, seq) order. *)
 let cancel_trigger db oid tname =
   let m = Types.owner_db db oid in
-  match m.wheel.tq with
-  | Tq_list tms ->
-    let cancelled, keep =
-      List.partition (fun t -> t.tm_oid = oid && t.tm_trigger = tname) tms
-    in
-    if cancelled <> [] then begin
-      m.wheel.tq <- Tq_list keep;
+  let w = m.wheel.tq in
+  match Hashtbl.find_opt w.tw_index oid with
+  | None -> []
+  | Some ns ->
+    let gone, kept = List.partition (fun n -> n.tn_timer.tm_trigger = tname) ns in
+    if gone <> [] then begin
+      (match kept with
+      | [] -> Hashtbl.remove w.tw_index oid
+      | _ -> Hashtbl.replace w.tw_index oid kept);
+      List.iter
+        (fun n ->
+          unlink_node w n;
+          w.tw_n <- w.tw_n - 1)
+        gone;
       m.wheel.timers_dirty <- true
     end;
-    cancelled
-  | Tq_wheel w -> (
-    match Hashtbl.find_opt w.tw_index oid with
-    | None -> []
-    | Some ns ->
-      let gone, kept =
-        List.partition (fun n -> n.tn_timer.tm_trigger = tname) ns
-      in
-      if gone <> [] then begin
-        (match kept with
-        | [] -> Hashtbl.remove w.tw_index oid
-        | _ -> Hashtbl.replace w.tw_index oid kept);
-        List.iter
-          (fun n ->
-            unlink_node w n;
-            w.tw_n <- w.tw_n - 1)
-          gone;
-        m.wheel.timers_dirty <- true
-      end;
-      List.sort cmp_key (List.map (fun n -> n.tn_timer) gone))
+    List.sort cmp_key (List.map (fun n -> n.tn_timer) gone)
 
 (* Cancel one specific pending timer, matched by physical identity —
    the undo of [U_timers_armed]. Absent timers (already delivered or
    cancelled) are ignored. *)
 let cancel_timer db (tm : timer) =
   let m = Types.owner_db db tm.tm_oid in
-  match m.wheel.tq with
-  | Tq_list tms ->
-    let keep = List.filter (fun t -> t != tm) tms in
-    if List.compare_lengths keep tms <> 0 then begin
-      m.wheel.tq <- Tq_list keep;
-      m.wheel.timers_dirty <- true
-    end
-  | Tq_wheel w -> (
-    match Hashtbl.find_opt w.tw_index tm.tm_oid with
+  let w = m.wheel.tq in
+  match Hashtbl.find_opt w.tw_index tm.tm_oid with
+  | None -> ()
+  | Some ns -> (
+    match List.find_opt (fun n -> n.tn_timer == tm) ns with
     | None -> ()
-    | Some ns -> (
-      match List.find_opt (fun n -> n.tn_timer == tm) ns with
-      | None -> ()
-      | Some n ->
-        remove_node w n;
-        m.wheel.timers_dirty <- true))
+    | Some n ->
+      remove_node w n;
+      m.wheel.timers_dirty <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
@@ -542,56 +455,39 @@ let timer_alive db (tm : timer) =
 (* Advancing the clock                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One member's minimum pending timer, if due by [target]. O(1) for the
-   list (sorted head) and amortized O(1) for the wheel (peek cache). *)
+(* One member's minimum pending timer, if due by [target]. Amortized
+   O(1) (peek cache). *)
 let member_peek m ~target =
-  match m.wheel.tq with
-  | Tq_list (tm :: _) when tm.tm_due <= target -> Some tm
-  | Tq_list _ -> None
-  | Tq_wheel w -> (
-    match wheel_peek w ~clock:m.wheel.clock_ms with
-    | Some n when n.tn_timer.tm_due <= target -> Some n.tn_timer
-    | _ -> None)
+  match wheel_peek m.wheel.tq ~clock:m.wheel.clock_ms with
+  | Some n when n.tn_timer.tm_due <= target -> Some n.tn_timer
+  | _ -> None
 
 (* Pull every pending timer for one (object, spec, instant) out of one
-   member's queue, in seq order. O(same-instant group): the list reads
-   only its due-== head run, the wheel only the level-0 head bucket
-   (plus the recovery-skew past list) — never the whole queue. *)
+   member's queue, in seq order. O(same-instant group): only the
+   level-0 head bucket (plus the recovery-skew past list) is read —
+   never the whole queue. *)
 let member_pull_group m ~due ~oid ~spec =
-  match m.wheel.tq with
-  | Tq_list tms ->
-    let rec split prefix = function
-      | t :: rest when t.tm_due = due -> split (t :: prefix) rest
-      | rest -> (List.rev prefix, rest)
+  let w = m.wheel.tq in
+  let matches n =
+    n.tn_timer.tm_due = due && n.tn_timer.tm_oid = oid
+    && n.tn_timer.tm_spec = spec
+  in
+  let collect acc h =
+    let rec go acc = function
+      | None -> acc
+      | Some n ->
+        let nx = n.tn_next in
+        go (if matches n then n :: acc else acc) nx
     in
-    let prefix, rest = split [] tms in
-    let dups, keep =
-      List.partition (fun t -> t.tm_oid = oid && t.tm_spec = spec) prefix
-    in
-    m.wheel.tq <- Tq_list (keep @ rest);
-    m.wheel.timers_dirty <- true;
-    dups
-  | Tq_wheel w ->
-    let matches n =
-      n.tn_timer.tm_due = due && n.tn_timer.tm_oid = oid
-      && n.tn_timer.tm_spec = spec
-    in
-    let collect acc h =
-      let rec go acc = function
-        | None -> acc
-        | Some n ->
-          let nx = n.tn_next in
-          go (if matches n then n :: acc else acc) nx
-      in
-      go acc h
-    in
-    (* after [wheel_advance ~to_:due] every due-== node sits in the
-       level-0 cursor bucket; the past list only holds recovery skew *)
-    let ns = collect (collect [] w.tw_slots.(0).(slot_of 0 due)) w.tw_past in
-    List.iter (remove_node w) ns;
-    m.wheel.timers_dirty <- true;
-    List.sort (fun a b -> cmp_key a.tn_timer b.tn_timer) ns
-    |> List.map (fun n -> n.tn_timer)
+    go acc h
+  in
+  (* after [wheel_advance ~to_:due] every due-== node sits in the
+     level-0 cursor bucket; the past list only holds recovery skew *)
+  let ns = collect (collect [] w.tw_slots.(0).(slot_of 0 due)) w.tw_past in
+  List.iter (remove_node w) ns;
+  m.wheel.timers_dirty <- true;
+  List.sort (fun a b -> cmp_key a.tn_timer b.tn_timer) ns
+  |> List.map (fun n -> n.tn_timer)
 
 (* The partition-generic merge: the due timers of a group live spread
    over the member wheels, each member queue a (due, seq)-sorted
@@ -621,9 +517,7 @@ let advance_to db target =
       (fun m ->
         let c = m.wheel.clock_ms in
         if d > c then begin
-          (match m.wheel.tq with
-          | Tq_wheel w -> wheel_advance w ~from_:c ~to_:d
-          | Tq_list _ -> ());
+          wheel_advance m.wheel.tq ~from_:c ~to_:d;
           m.wheel.clock_ms <- d
         end)
       members

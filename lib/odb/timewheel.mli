@@ -2,12 +2,10 @@
     insertion, due-date computation, periodic rescheduling, eager
     cancellation, and clock advancement.
 
-    Two representations live behind one API (see {!Types.timerq}): the
-    reference sorted list and a hierarchical hashed timing wheel
+    The pending timers live in a hierarchical hashed timing wheel
     (Varghese–Lauck — 8 levels of 64 slots, cascade-on-advance, O(1)
-    arm and cancel). Both deliver in identical (due, [tm_seq]) order
-    and serialize to identical bytes; {!set_wheel} switches a database
-    between them in place.
+    arm and cancel; see {!Types.twheel}), delivered in (due, [tm_seq])
+    order.
 
     Depends on {!Store} (liveness checks for timer garbage-collection)
     and {!Clock} (calendar-pattern matching). Delivering a due timer
@@ -68,15 +66,14 @@ val cancel_timer : db -> timer -> unit
 
 val pending : db -> timer list
 (** The pending queue of {e this} member (no partition routing), in
-    (due, seq) order — the serialization order, identical across
-    representations. Used by the persist codec and the WAL. *)
+    (due, seq) order — the serialization order. Used by the persist
+    codec and the WAL. *)
 
 val pending_count : db -> int
-(** [List.length (pending db)], O(1) for the wheel. *)
+(** [List.length (pending db)], in O(1). *)
 
 val clear : db -> unit
-(** Drop every pending timer of this member (image load reset),
-    preserving the representation. *)
+(** Drop every pending timer of this member (image load reset). *)
 
 val replace : db -> timer list -> unit
 (** Bulk-load this member's queue from a (due, seq)-sorted list (WAL
@@ -89,18 +86,10 @@ val set_member_clock : db -> int64 -> unit
     invariant (forward hops cascade, backward hops rebuild). WAL replay
     uses this for batches that moved the clock but not the queue. *)
 
-val use_wheel : db -> bool
-(** Whether the database currently runs the wheel representation. *)
-
-val set_wheel : db -> bool -> unit
-(** Switch every partition member between the sorted-list ([false])
-    and timing-wheel ([true]) representations in place; the pending
-    set, delivery order and serialized bytes are unchanged. *)
-
 val resync : db -> unit
 (** Rebuild each member's wheel against its current clock — required
     after group recovery maxes member clocks (wheel placement is
-    clock-relative). No-op for the list representation. *)
+    clock-relative). *)
 
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in

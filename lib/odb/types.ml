@@ -138,9 +138,6 @@ and engine_state = {
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
   mutable next_sub_id : int;
-  mutable use_dispatch_index : bool;
-      (* per-database switch between the indexed posting path and the
-         brute-force reference path (default true) *)
   mutable post_domains : int;
       (* default parallelism of [post_many]'s classify/step phase *)
   mutable clamp_domains : bool;
@@ -165,11 +162,13 @@ and engine_state = {
   mutable q_off : int array;
       (* shard s owns [q_items.(q_off.(s) .. q_off.(s+1) - 1)] *)
   mutable q_cur : int array;  (* counting-sort fill cursors *)
-  mutable use_posting_kernel : bool;
-      (* per-database switch between the compiled posting kernel
-         (candidate rows + packed classification codes + SoA state) and
-         the legacy indexed path (default true); only meaningful when
-         [use_dispatch_index] is also on *)
+  mutable stepper :
+    (db -> undo:undo_entry list ref -> obj -> Symbol.occurrence ->
+     active_trigger list)
+    option;
+      (* [None] — always, outside the equivalence tests — runs the
+         compiled kernel. The test seam [Engine.set_stepper] installs a
+         reference classify/step function here instead. *)
   mutable scratch : scratch array;
       (* per-shard reusable classify/step buffers, built lazily by
          [Engine]; the sequential [post] path uses the posted object's
@@ -206,7 +205,7 @@ and scratch = {
 (* [Timewheel]: simulated time. *)
 and wheel_state = {
   mutable clock_ms : int64;
-  mutable tq : timerq;  (* the pending-timer structure *)
+  mutable tq : twheel;  (* the pending timers *)
   mutable timers_dirty : bool;
       (* set whenever the pending set changes (insert, pop, cancel,
          load), cleared when a durability batch captures the queue — so
@@ -217,17 +216,10 @@ and wheel_state = {
          member wheels merge back in exactly the single-engine order *)
 }
 
-(* The pending-timer structure, selectable per database
-   ([Database.Config.timer_wheel] / ODE_TIMER_QUEUE). [Tq_list] is the
-   reference representation: one flat list sorted by (due, seq) — O(n)
-   arming, trivially correct, the oracle the wheel is pinned against.
-   [Tq_wheel] is the hierarchical hashed timing wheel (Varghese–Lauck):
-   O(1) arming and cancellation, cascade-on-advance. Both deliver in
-   identical (due, seq) order and serialize to identical ODE1 bytes;
-   [Timewheel] owns all the code. *)
-and timerq = Tq_list of timer list | Tq_wheel of twheel
-
-(* The wheel: [tw_levels] bucket levels of 64 slots each; level l's
+(* The pending-timer structure: a hierarchical hashed timing wheel
+   (Varghese–Lauck) — O(1) arming and cancellation, cascade-on-advance,
+   delivery in (due, seq) order; [Timewheel] owns all the code.
+   [wheel_levels] bucket levels of [wheel_slots] slots each; level l's
    slots are 64^l ticks (ms) wide, and a timer lives at the lowest
    level whose current rotation covers its due instant — so a level-0
    slot holds exactly one instant. Buckets are intrusive doubly-linked
@@ -297,18 +289,14 @@ and klass = {
   k_methods : (string, meth) Hashtbl.t;
   k_triggers : (string, trigger_def) Hashtbl.t;
   k_n_triggers : int;  (* sizes each object's [o_acts] slot array *)
-  k_dispatch : (Symbol.basic_key, trigger_def list) Hashtbl.t;
-      (* §5 hot-path index, built once at schema registration: posted
-         basic -> trigger definitions whose alphabet can react to it, in
-         declaration order. The legacy indexed [post] path consults this
-         instead of scanning every activation on the object. *)
   k_rows : (Symbol.basic_key, krow) Hashtbl.t;
-      (* the posting kernel's compiled candidate rows: same buckets as
-         [k_dispatch], materialized as arrays with the distinct shared
-         detectors factored out so one post classifies each detector
-         exactly once and never allocates. Static per class — activation
-         state is consulted through [o_acts], so trigger
-         (de)activation needs no invalidation. *)
+      (* §5 hot-path index, built once at schema registration: posted
+         basic -> the posting kernel's compiled candidate row of the
+         trigger definitions whose alphabet can react to it, with the
+         distinct shared detectors factored out so one post classifies
+         each detector exactly once and never allocates. Static per
+         class — activation state is consulted through [o_acts], so
+         trigger (de)activation needs no invalidation. *)
   k_constructor : (db -> oid -> Value.t list -> unit) option;
 }
 
@@ -477,6 +465,26 @@ let noop_durability =
     dur_close = (fun _ -> ());
   }
 
+(* The wheel's geometry: [wheel_levels] levels of [2^wheel_bits] slots.
+   Defined here so [make_db] can build an empty wheel; [Timewheel] owns
+   everything else about it. *)
+let wheel_bits = 6
+let wheel_levels = 8
+let wheel_slots = 1 lsl wheel_bits
+
+let make_wheel () =
+  {
+    tw_slots = Array.init wheel_levels (fun _ -> Array.make wheel_slots None);
+    tw_counts = Array.make wheel_levels 0;
+    tw_ovf = None;
+    tw_ovf_n = 0;
+    tw_past = None;
+    tw_past_n = 0;
+    tw_n = 0;
+    tw_peek = None;
+    tw_index = Hashtbl.create 64;
+  }
+
 let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
     ?(trace_capacity = 1024) ?(durability = noop_durability) () =
   if max_tcomplete_rounds < 1 then
@@ -511,7 +519,6 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_triggers = Hashtbl.create 4;
           subscribers = [];
           next_sub_id = 1;
-          use_dispatch_index = true;
           post_domains = 1;
           clamp_domains = true;
           parallel_threshold = 32;
@@ -519,14 +526,14 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           q_items = [||];
           q_off = [||];
           q_cur = [||];
-          use_posting_kernel = true;
+          stepper = None;
           scratch = [||];
           kind_names = Hashtbl.create 16;
         };
       wheel =
         {
           clock_ms = start_time;
-          tq = Tq_list [];
+          tq = make_wheel ();
           timers_dirty = false;
           tm_next_seq = 0;
         };
@@ -559,11 +566,10 @@ let owner_db db oid =
   | Some p -> p.p_members.(oid mod Array.length p.p_members)
   | None -> db
 
-(* Pending timers in one member's queue, O(1) for the wheel. Lives here
-   (not [Timewheel]) so [Store.stats] can count timers without a
-   circular dependency. *)
-let timerq_count w =
-  match w.tq with Tq_list tms -> List.length tms | Tq_wheel tw -> tw.tw_n
+(* Pending timers in one member's queue, O(1). Lives here (not
+   [Timewheel]) so [Store.stats] can count timers without a circular
+   dependency. *)
+let timerq_count w = w.tq.tw_n
 
 (* ------------------------------------------------------------------ *)
 (* Detection-state accessors                                          *)

@@ -1,8 +1,7 @@
 (* Allocation-regression guard for the posting kernel.
 
-   On the steady-state kernel path — dispatch index and posting kernel
-   enabled, observability off, mask-free triggers that step but never
-   fire — one [Engine.post] allocates only the fixed per-entry
+   On the steady-state kernel path — observability off, mask-free
+   triggers that step but never fire — one [Engine.post] allocates only the fixed per-entry
    envelope: the [Symbol.occurrence] record and its boxed [int64]
    timestamp, the [Symbol.Key] dispatch-key wrapper, the committed-mode
    undo [ref], and the [Some obj] stored into the scratch slot —
@@ -41,7 +40,6 @@ let test_kernel_allocations () =
   | Sys.Native ->
     (* raw-layer db: [Engine.post] needs the concrete [obj] *)
     let db = Types.make_db ~backend:(Store.backend_of (Store.default_spec ())) () in
-    assert (Engine.posting_kernel_enabled db);
     let b = Schema.define_class "c" in
     let b = Schema.field b "x" (Value.Int 0) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in
@@ -105,7 +103,6 @@ let test_multi_level_allocations () =
   | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
   | Sys.Native ->
     let db = Types.make_db ~backend:(Store.backend_of (Store.default_spec ())) () in
-    assert (Engine.posting_kernel_enabled db);
     let b = Schema.define_class "c" in
     let b = Schema.field b "cm0" (Value.Bool true) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in

@@ -1,19 +1,20 @@
-(* Equivalence of the three posting paths.
+(* The posting kernel against its oracle.
 
-   [Database.set_dispatch_index] (default true) makes [post]/[post_db]
-   consult the per-class / per-database dispatch index and touch only
-   the triggers whose alphabet can contain the posted basic event;
-   switching it off restores the pre-index path that snapshots and
-   classifies {e every} activation. On top of the index,
-   [Database.set_posting_kernel] (default true) selects the compiled
-   kernel — per-class candidate rows, packed classification codes,
-   flat-table stepping over the SoA detection state — over the legacy
-   indexed path it replaced. All three must be observably identical:
-   same firings, same collected §9 bindings, same witnesses, same
-   automaton states, same activation flags — on random schemas (masked
-   composite events, one-shot/perpetual, committed-mode,
-   witness-tracking triggers) under random transaction scripts with
-   commits and aborts.
+   Posting runs the compiled kernel: per-class candidate rows from the
+   dispatch index, packed classification codes, flat-table stepping
+   over the SoA detection state. The reference stepper
+   ([Ode_reference.Stepper], installed through [Engine.set_stepper])
+   re-implements classify/step independently, in two modes: [Index]
+   resolves candidates through the same dispatch rows, [Scan]
+   classifies {e every} active trigger on the object. All three must be
+   observably identical: same firings, same collected §9 bindings, same
+   witnesses, same automaton states, same activation flags — on random
+   schemas (masked composite events, one-shot/perpetual,
+   committed-mode, witness-tracking triggers) under random transaction
+   scripts with commits and aborts. The stepper covers object scope;
+   [index_rows_complete] pins the database-scope index (and the class
+   rows) directly: a trigger the index leaves out of a row must be a
+   no-op on that row's occurrences.
 
    [kernel_codes_match_semantics] additionally pins the kernel's
    classify/step primitives ([Detector.classify_code] / [post_code] /
@@ -25,6 +26,7 @@ open Ode_odb
 open Ode_event
 module D = Database
 module Value = Ode_base.Value
+module Stepper = Ode_reference.Stepper
 
 type op =
   | Call_f
@@ -44,16 +46,13 @@ type case = {
 
 let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.triggers
 
-(* Build the schema, run every script, and summarise everything the two
-   posting paths could disagree on. Firings and the action log are
-   sorted: the reference path iterates a [Hashtbl] snapshot, so its
-   {e order} of same-occurrence firings is unspecified (the indexed path
-   fixed it to declaration order). *)
-let run ?(use_kernel = true) ~use_index case =
+(* Build the schema, run every script, and summarise everything the
+   posting paths could disagree on. [stepper]: [None] runs the kernel,
+   [Some mode] the reference stepper. *)
+let run ?stepper case =
   let log = ref [] in
   let db = D.create_db () in
-  D.set_dispatch_index db use_index;
-  D.set_posting_kernel db use_kernel;
+  Option.iter (Stepper.install db) stepper;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
   (* one database-scope trigger so [post_db]'s index is exercised too *)
@@ -113,7 +112,7 @@ let run ?(use_kernel = true) ~use_index case =
   let states =
     List.map (fun n -> (n, D.trigger_state db oid n, D.is_active db oid n)) names
   in
-  (List.sort compare firings, List.sort compare !log, states)
+  (firings, List.rev !log, states)
 
 (* ------------------------------------------------------------------ *)
 (* Generators                                                          *)
@@ -185,23 +184,129 @@ let compiles (e, _, committed, _) =
   | exception Invalid_argument _ -> false (* state-limit blowup: skip *)
   | _ -> true
 
+(* The indexed path against the brute-force scan: pruning candidates by
+   the dispatch rows must not change a single observable. *)
 let index_equals_scan =
   QCheck.Test.make ~count:80 ~name:"dispatch index = brute-force scan"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      run ~use_index:true case = run ~use_index:false case)
+      run case = run ~stepper:Stepper.Scan case)
 
-(* Three-way: the compiled kernel, the legacy indexed path it replaced,
-   and the brute-force scan must agree on every observable. *)
+(* Three-way: the compiled kernel and both modes of the reference
+   stepper must agree on every observable, firing order included. *)
 let kernel_equals_legacy_equals_scan =
   QCheck.Test.make ~count:80 ~name:"posting kernel = legacy index = scan"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      let k = run ~use_kernel:true ~use_index:true case in
-      k = run ~use_kernel:false ~use_index:true case
-      && k = run ~use_kernel:false ~use_index:false case)
+      let k = run case in
+      k = run ~stepper:Stepper.Index case && k = run ~stepper:Stepper.Scan case)
+
+(* Index completeness, object and database scope. For a random trigger
+   set and random occurrences, every trigger absent from the class's
+   [k_rows] row (or the database's [db_dispatch] bucket) for the
+   occurrence's basic key must be a no-op on it: classified irrelevant,
+   no bindings collected, and stepping — from whatever state a random
+   prefix left — changes no state word. This is what lets the kernel
+   skip those triggers, and what the scan mode above checks end to end
+   for object scope only. *)
+let index_rows_complete =
+  QCheck.Test.make ~count:200 ~name:"dispatch rows omit only no-op triggers"
+    (QCheck.make
+       ~print:(fun (triggers, occs, _) ->
+         Fmt.str "%a on %d occurrences"
+           Fmt.(list ~sep:(any "; ") (fun ppf (e, _) -> Expr.pp ppf e))
+           triggers (List.length occs))
+       QCheck.Gen.(
+         let* triggers =
+           list_size (int_range 1 4) (pair (Gen.gen_surface_masked ~max_size:6 ()) bool)
+         in
+         let* occs = list_size (int_range 1 20) Gen.gen_occurrence in
+         let* flags = list_repeat (List.length occs) (array_size (return 3) bool) in
+         return (triggers, occs, flags)))
+    (fun (triggers, occs, flags) ->
+      QCheck.assume
+        (List.for_all
+           (fun (e, committed) ->
+             compiles (e, false, committed, false) && compiles (e, false, false, false))
+           triggers);
+      let db = Types.make_db ~backend:(Store.backend_of `Heap) () in
+      let b =
+        List.fold_left
+          (fun b (i, (event, committed)) ->
+            let mode = if committed then Detector.Committed else Detector.Full_history in
+            Schema.trigger b ~mode (Printf.sprintf "t%d" i) ~event ~action:(fun _ _ -> ()))
+          (Schema.define_class "c")
+          (List.mapi (fun i t -> (i, t)) triggers)
+      in
+      Schema.register_class db b;
+      List.iteri
+        (fun i (event, _) ->
+          Schema.db_trigger db (Printf.sprintf "d%d" i) ~event ~action:(fun _ _ -> ()))
+        triggers;
+      let k = Option.get (Schema.find_class db "c") in
+      let class_defs = Hashtbl.fold (fun _ d acc -> d :: acc) k.Types.k_triggers [] in
+      let db_defs =
+        Hashtbl.fold (fun _ d acc -> d :: acc) db.Types.schema.Types.db_trigger_defs []
+      in
+      let row_of scope key =
+        match scope with
+        | `Class -> (
+          match Hashtbl.find_opt k.Types.k_rows key with
+          | Some r -> Array.to_list r.Types.kr_defs
+          | None -> [])
+        | `Db ->
+          Option.value ~default:[]
+            (Hashtbl.find_opt db.Types.schema.Types.db_dispatch key)
+      in
+      let current = ref [| true; true; true |] in
+      let env =
+        {
+          Ode_event.Mask.empty_env with
+          var =
+            (fun n ->
+              match n with
+              | "cm0" -> Some (Value.Bool !current.(0))
+              | "cm1" -> Some (Value.Bool !current.(1))
+              | "cm2" -> Some (Value.Bool !current.(2))
+              | _ -> None);
+        }
+      in
+      (* every definition walks the whole stream, so the omitted ones
+         are checked from the states the earlier occurrences left *)
+      let states =
+        List.map
+          (fun (d : Types.trigger_def) -> (d, Detector.initial d.t_detector))
+          (class_defs @ db_defs)
+      in
+      List.iter2
+        (fun (occ : Symbol.occurrence) fl ->
+          current := fl;
+          let key = Symbol.basic_key occ.basic in
+          List.iter
+            (fun ((d : Types.trigger_def), st) ->
+              let scope = if d.t_index < 0 then `Db else `Class in
+              let det = d.t_detector in
+              let c = Detector.classify det ~env occ in
+              if List.memq d (row_of scope key) then
+                ignore (Detector.post_classified det st ~env c)
+              else begin
+                let name = d.t_name in
+                if Detector.is_relevant c then
+                  QCheck.Test.fail_reportf "%s: omitted from the row, yet relevant" name;
+                if Detector.code_relevant (Detector.classify_code det ~env occ) then
+                  QCheck.Test.fail_reportf "%s: omitted, yet its code is relevant" name;
+                if Detector.collect_classified det c occ <> [] then
+                  QCheck.Test.fail_reportf "%s: omitted, yet collects bindings" name;
+                let before = Array.copy st in
+                ignore (Detector.post_classified det st ~env c);
+                if st <> before then
+                  QCheck.Test.fail_reportf "%s: omitted, yet stepping moved its state" name
+              end)
+            states)
+        occs flags;
+      true)
 
 (* The kernel's own primitives against the §4 reference semantics: for a
    random surface expression and occurrence stream, classify each
@@ -322,8 +427,8 @@ let masked_slots_match_words =
           QCheck.Test.fail_report "slot state diverged from word-vector state";
         cells.(0) = 0 && cells.(w + 1) = 0)
 
-(* A directed case through the default (indexed) path, so the property
-   above cannot pass vacuously with both paths broken the same way:
+(* A directed case through the kernel, so the properties above cannot
+   pass vacuously with every path broken the same way:
    check actual firing, §9 collection and one-shot deactivation. *)
 let test_indexed_firing () =
   let db = D.create_db () in
@@ -380,6 +485,7 @@ let suite =
        [
          index_equals_scan;
          kernel_equals_legacy_equals_scan;
+         index_rows_complete;
          kernel_codes_match_semantics;
          masked_slots_match_words;
        ]

@@ -52,9 +52,6 @@ let test_end_to_end () =
   let db = D.create_db () in
   let drain = collect_firings db in
   D.register_class db (schema ());
-  Alcotest.(check bool)
-    "dispatch index on by default" true
-    (D.dispatch_index_enabled db);
   let oid =
     expect_ok
       (D.with_txn db (fun _ ->
@@ -100,15 +97,15 @@ let test_end_to_end () =
     "mid-sequence state fires after reload" [ "audit" ]
     (List.map (fun (f : D.firing) -> f.D.f_trigger) (drain2 ()))
 
-(* The per-database switch must force the brute-force reference path —
-   observably identical firings. *)
+(* The posting path is chosen per database through the [Engine] test
+   seam alone: a reference stepper installed on one database leaves its
+   neighbour on the kernel, and both see the same firings. *)
 let test_per_db_dispatch_switch () =
-  let run ~indexed =
+  let run ~stepper =
     let db = D.create_db () in
     let drain = collect_firings db in
     D.register_class db (schema ());
-    D.set_dispatch_index db indexed;
-    Alcotest.(check bool) "flag readable" indexed (D.dispatch_index_enabled db);
+    Option.iter (Ode_reference.Stepper.install db) stepper;
     let oid =
       expect_ok
         (D.with_txn db (fun _ ->
@@ -120,8 +117,8 @@ let test_per_db_dispatch_switch () =
     in
     (List.map (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid)) (drain ()), oid)
   in
-  let fired_on, oid_on = run ~indexed:true in
-  let fired_off, oid_off = run ~indexed:false in
+  let fired_on, oid_on = run ~stepper:None in
+  let fired_off, oid_off = run ~stepper:(Some Ode_reference.Stepper.Scan) in
   Alcotest.(check bool) "same oid" true (oid_on = oid_off);
   Alcotest.(check bool) "same firings either path" true (fired_on = fired_off);
   Alcotest.(check (list string))

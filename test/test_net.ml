@@ -783,7 +783,41 @@ let test_config_of_env () =
   with_env "ODE_DURABILITY" "paper-tape" (fun () ->
       Alcotest.check_raises "unknown durability rejected"
         (D.Ode_error "ODE_DURABILITY: unknown backend \"paper-tape\"") (fun () ->
-          ignore (D.Config.of_env ())))
+          ignore (D.Config.of_env ())));
+  (* the documented [create_db] bounds, each named in the error *)
+  Alcotest.check_raises "zero trace capacity rejected"
+    (D.Ode_error "trace_capacity must be >= 1 (got 0)") (fun () ->
+      ignore
+        (D.create_db ~config:{ D.Config.default with D.Config.trace_capacity = 0 } ()));
+  Alcotest.check_raises "zero tcomplete rounds rejected"
+    (D.Ode_error "max_tcomplete_rounds must be >= 1 (got 0)") (fun () ->
+      ignore
+        (D.create_db
+           ~config:
+             { D.Config.default with D.Config.max_tcomplete_rounds = 0; partitions = 2 }
+           ()))
+
+(* Out-of-range serve knobs are refused by [Server.create], naming the
+   field — before anything binds. A zero outbox bound would hang the
+   server on its first firing to a block-policy subscriber. *)
+let test_serve_bounds () =
+  let db = D.create_db ~config:D.Config.default () in
+  let base = mk_config () in
+  let s = base.D.Config.serve in
+  List.iter
+    (fun (serve, expected) ->
+      match Server.create ~db ~config:{ base with D.Config.serve } () with
+      | srv ->
+        Server.stop srv;
+        Alcotest.failf "accepted out-of-range serve config (%s)" expected
+      | exception D.Ode_error msg -> Alcotest.(check string) "field named" expected msg)
+    [
+      ({ s with D.Config.outbox_bound = 0 }, "serve.outbox_bound must be >= 1 (got 0)");
+      ({ s with D.Config.max_batch = 0 }, "serve.max_batch must be >= 1 (got 0)");
+      ( { s with D.Config.batch_window_ms = -1 },
+        "serve.batch_window_ms must be >= 0 (got -1)" );
+      ({ s with D.Config.max_frame_bytes = 0 }, "serve.max_frame_bytes must be >= 1 (got 0)");
+    ]
 
 (* An empty [post_many] is a true no-op: answered on the spot. Enrolled
    as a zero-item waiter it would sleep forever ([due] watches
@@ -856,7 +890,7 @@ let test_config_overrides () =
       Alcotest.(check bool)
         (Printf.sprintf "summary mentions %s" needle)
         true (contains needle))
-    [ "backend=heap"; "durability=image"; "post_domains=1"; "posting_kernel=on" ]
+    [ "backend=heap"; "durability=image"; "post_domains=1"; "parallel_threshold=32" ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -883,6 +917,8 @@ let suite =
     Alcotest.test_case "empty post_many is an immediate no-op" `Quick
       test_empty_post_many;
     Alcotest.test_case "Config.of_env parses and rejects" `Quick test_config_of_env;
+    Alcotest.test_case "out-of-range serve knobs are refused" `Quick
+      test_serve_bounds;
     Alcotest.test_case "config paths converge bit-identically" `Quick
       test_config_equivalence;
     Alcotest.test_case "optional shims override config" `Quick test_config_overrides;

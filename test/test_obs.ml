@@ -142,10 +142,11 @@ let test_timing_gate () =
     (Hist.count (Obs.hist r Obs.Post))
 
 let test_scan_path_counters () =
-  (* brute-force reference path: every active trigger is classified on
-     every post (2 * 9), and nothing is "skipped by the index" *)
+  (* the reference stepper's brute-force scan: every active trigger is
+     classified on every post (2 * 9), and nothing is "skipped by the
+     index" *)
   let db, oid = scripted_db () in
-  D.set_dispatch_index db false;
+  Ode_reference.Stepper.install db Ode_reference.Stepper.Scan;
   D.set_observability db true;
   ping db oid;
   let r = D.observe db in

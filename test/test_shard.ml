@@ -17,6 +17,7 @@ module D = Database
 module Value = Ode_base.Value
 module Symbol = Ode_event.Symbol
 module P = Ode_lang.Parser
+module Stepper = Ode_reference.Stepper
 
 (* ------------------------------------------------------------------ *)
 (* Random scripts over several objects                                 *)
@@ -65,10 +66,12 @@ let create_db ?partitions ~backend () =
         }
       ()
 
-let run ?(kernel = true) ?partitions ~backend case =
+(* [stepper]: [None] runs the posting kernel, [Some mode] the reference
+   stepper ([Ode_reference.Stepper]) in that mode. *)
+let run ?stepper ?partitions ~backend case =
   let log = ref [] in
   let db = create_db ?partitions ~backend () in
-  D.set_posting_kernel db kernel;
+  Option.iter (Stepper.install db) stepper;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
   D.db_trigger_str db ~perpetual:true "census" ~event:"choose 2 (after create)"
@@ -180,10 +183,10 @@ let n_batch_objects = 8
 (* Run both batches through [post_many] — the second in a transaction
    that aborts, exercising the merged per-shard undo segments — and
    summarise every observable, the exact counters included. *)
-let run_batch ?(kernel = true) ?partitions ~backend ~domains case =
+let run_batch ?stepper ?partitions ~backend ~domains case =
   let log = ref [] in
   let db = create_db ?partitions ~backend () in
-  D.set_posting_kernel db kernel;
+  Option.iter (Stepper.install db) stepper;
   D.set_post_domains db domains;
   (* make the domain count real even on a small box: no core-count
      clamp, no sequential fallback for small batches — these
@@ -393,35 +396,50 @@ let post_many_domains_equal =
       d1 = run_batch ~backend:(`Sharded 8) ~domains:4 case
       && d1 = run_batch ~backend:`Heap ~domains:4 case)
 
-(* The posting kernel against the legacy indexed path it replaced, on
-   both backends: same firings, same states, same object listings, same
-   byte-identical persist image. The state representation (SoA slots) is
-   shared by both paths, so the image comparison pins the kernel's
-   in-place stepping to the exact words the legacy path computes. *)
+(* The posting kernel against the reference stepper, on both backends:
+   same firings in the same order, same states, same object listings,
+   same byte-identical persist image — in the stepper's [Index] mode
+   and in its brute-force [Scan] mode. The state representation (SoA
+   slots) is shared by all paths, so the image comparison pins the
+   kernel's in-place stepping to the exact words the stepper computes. *)
 let kernel_equals_prekernel_backends =
   QCheck.Test.make ~count:30
     ~name:"posting kernel = pre-kernel path (both backends, persist bytes)"
     (QCheck.make ~print:print_case gen_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.triggers);
-      let k = run ~kernel:true ~backend:(`Sharded 4) case in
-      k = run ~kernel:false ~backend:(`Sharded 4) case
-      && k = run ~kernel:false ~backend:`Heap case)
+      let k = run ~backend:(`Sharded 4) case in
+      k = run ~stepper:Stepper.Index ~backend:(`Sharded 4) case
+      && k = run ~stepper:Stepper.Index ~backend:`Heap case
+      && k = run ~stepper:Stepper.Scan ~backend:(`Sharded 4) case)
 
 (* Likewise for the batch pipeline, exact observability counters
    included, across 1/4-domain step phases: the kernel's per-shard
-   scratch accumulators must flush to the same totals the legacy path
-   records one event at a time. *)
+   scratch accumulators must flush to the same totals the stepper
+   records one event at a time. The [Scan] mode classifies every active
+   trigger by design, so only its two dispatch counters may differ. *)
 let kernel_equals_prekernel_batches =
+  let without_dispatch (n1, n2, firings, log, states, counters, kinds, image) =
+    let counters =
+      List.filter
+        (fun (name, _) -> name <> "classified" && name <> "index_skipped")
+        counters
+    in
+    (n1, n2, firings, log, states, counters, kinds, image)
+  in
   QCheck.Test.make ~count:30
     ~name:"post_many: kernel = pre-kernel (1/4 domains, counters)"
     (QCheck.make ~print:print_batch_case gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
-      let k = run_batch ~kernel:true ~backend:(`Sharded 8) ~domains:1 case in
-      k = run_batch ~kernel:false ~backend:(`Sharded 8) ~domains:1 case
-      && k = run_batch ~kernel:false ~backend:(`Sharded 8) ~domains:4 case
-      && k = run_batch ~kernel:false ~backend:`Heap ~domains:1 case)
+      let k = run_batch ~backend:(`Sharded 8) ~domains:1 case in
+      let index = run_batch ~stepper:Stepper.Index ~backend:(`Sharded 8) in
+      k = index ~domains:1 case
+      && k = index ~domains:4 case
+      && k = run_batch ~stepper:Stepper.Index ~backend:`Heap ~domains:1 case
+      && without_dispatch k
+         = without_dispatch
+             (run_batch ~stepper:Stepper.Scan ~backend:(`Sharded 8) ~domains:4 case))
 
 (* Kernel coverage, detector level: every expression the generators can
    produce — composite masks, [choose]/[every] counting, nesting — must
@@ -453,7 +471,7 @@ let batch_steps_all_slots =
     (fun case ->
       QCheck.assume (List.for_all compiles case.btriggers);
       let _, _, _, _, _, counters, _, _ =
-        run_batch ~kernel:true ~backend:(`Sharded 8) ~domains:2 case
+        run_batch ~backend:(`Sharded 8) ~domains:2 case
       in
       let get n = List.assoc n counters in
       get "word_transitions" = 0

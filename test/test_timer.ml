@@ -1,14 +1,21 @@
-(* The timing wheel against its oracle: the wheel and the sorted-list
-   queue must be observationally identical — same firing traces, same
-   ODE1 image bytes, same WAL replay — over arbitrary arm / cancel /
-   re-arm / advance interleavings and at every partition count. Plus
-   the satellites: equal-deadline (due, seq) order, eager cancellation
-   visible in [stats.state_bytes], the ODE_TIMER_QUEUE selector, and
-   the clock-only-replay regression. *)
+(* The timing wheel against its oracle. [prop_model] drives the wheel
+   through [Timewheel]'s own entry points — arm, the three cancels,
+   replace, clear, member clock moves, resync and [advance_to] — next
+   to the sorted-list model ([Ode_reference.Timer_model]) and compares
+   the pending queues and the delivery sequence after every step, at
+   partition counts 1/2/4. At system level, random arm / cancel /
+   re-arm / advance scripts must give the same firing trace and ODE1
+   image bytes at every partition count, and WAL replay must rebuild
+   them byte for byte. Plus the satellites: equal-deadline (due, seq)
+   order, eager cancellation visible in [stats.state_bytes], and the
+   clock-only-replay regression. *)
 
 open Ode_odb
 module D = Database
 module Value = Ode_base.Value
+module Tw = Timewheel
+module Model = Ode_reference.Timer_model
+module Symbol = Ode_event.Symbol
 
 let expect_ok = function
   | Ok v -> v
@@ -20,15 +27,8 @@ let fresh_dir () =
   Unix.mkdir d 0o755;
   d
 
-let mk_db ?durability ~partitions ~wheel () =
-  let c =
-    {
-      (D.Config.of_env ()) with
-      D.Config.partitions;
-      timer_wheel = wheel;
-    }
-  in
-  D.create_db ~config:c ?durability ()
+let mk_db ?durability ~partitions () =
+  D.create_db ~config:{ (D.Config.of_env ()) with D.Config.partitions } ?durability ()
 
 (* Every timer shape the engine arms: a fast and a slow periodic (the
    slow one crosses level-1 rotations, period > 4096 ms), a one-shot
@@ -154,8 +154,8 @@ let run_script ops db =
     ops;
   List.rev !fired
 
-let run_one ops ?durability ~partitions ~wheel () =
-  let db = mk_db ?durability ~partitions ~wheel () in
+let run_one ops ?durability ~partitions () =
+  let db = mk_db ?durability ~partitions () in
   let trace = run_script ops db in
   (db, trace, D.image_bytes db)
 
@@ -163,18 +163,229 @@ let run_one ops ?durability ~partitions ~wheel () =
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let prop_oracle =
+let prop_scripts =
   QCheck.Test.make
-    ~name:"wheel = sorted-list oracle (trace + ODE1 bytes, partitions 1/2/4)"
+    ~name:"timer scripts: partitions 2/4 = partition 1 (trace + ODE1 bytes)"
     ~count:20 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x17 |] in
       let ops = gen_ops rng in
-      let _, tr0, img0 = run_one ops ~partitions:1 ~wheel:false () in
+      let _, tr0, img0 = run_one ops ~partitions:1 () in
       List.for_all
         (fun p ->
-          let _, tr, img = run_one ops ~partitions:p ~wheel:true () in
+          let _, tr, img = run_one ops ~partitions:p () in
           tr = tr0 && String.equal img img0)
-        [ 1; 2; 4 ])
+        [ 2; 4 ])
+
+(* ------------------------------------------------------------------ *)
+(* The wheel against the sorted-list model                             *)
+(* ------------------------------------------------------------------ *)
+
+(* Perpetual triggers with no-op actions: a delivery never changes which
+   timers are alive, so the model can evaluate liveness once. *)
+let model_schema () =
+  D.define_class "m"
+  |> (fun b -> D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit))
+  |> (fun b ->
+       D.trigger_str b ~perpetual:true "hb" ~event:"every time(MS=700)"
+         ~action:(fun _ _ -> ()))
+  |> fun b ->
+  D.trigger_str b ~perpetual:true "p" ~event:"after f" ~action:(fun _ _ -> ())
+
+type mop =
+  | Arm of int * string * int * Symbol.time_spec * int
+      (* object pick, trigger, epoch, spec, due offset *)
+  | Cancel_object of int
+  | Cancel_trigger of int * string
+  | Cancel_timer of int (* pick among pending, else a stale one *)
+  | Replace of int * int (* member pick, drop mask seed *)
+  | Clear of int
+  | Clock of int * int (* member pick, signed hop *)
+  | Resync
+  | Advance of int
+
+let pp_mop ppf = function
+  | Arm (o, t, e, spec, d) ->
+    Fmt.pf ppf "arm o%d.%s e%d %a +%d" o t e Symbol.pp_time_spec spec d
+  | Cancel_object o -> Fmt.pf ppf "cancel o%d" o
+  | Cancel_trigger (o, t) -> Fmt.pf ppf "cancel o%d.%s" o t
+  | Cancel_timer i -> Fmt.pf ppf "cancel timer #%d" i
+  | Replace (m, k) -> Fmt.pf ppf "replace m%d ~%d" m k
+  | Clear m -> Fmt.pf ppf "clear m%d" m
+  | Clock (m, d) -> Fmt.pf ppf "clock m%d %+d" m d
+  | Resync -> Fmt.pf ppf "resync"
+  | Advance d -> Fmt.pf ppf "advance +%d" d
+
+let gen_mops rng =
+  let int n = Random.State.int rng n in
+  let pick a = a.(int (Array.length a)) in
+  let spec () =
+    match int 4 with
+    | 0 -> Symbol.After_period 1L
+    | 1 -> Symbol.At (Symbol.pattern ~sec:7 ())
+    | _ -> Symbol.Every (Int64.of_int (300 + int 5_000))
+  in
+  List.init (60 + int 60) (fun _ ->
+      match int 100 with
+      | x when x < 30 ->
+        let trigger = pick [| "hb"; "p"; "gone" |] in
+        let epoch = pick [| 0; 0; 0; 1 |] in
+        Arm (int 8, trigger, epoch, spec (), 1 + gen_span rng)
+      | x when x < 36 -> Cancel_object (int 8)
+      | x when x < 44 -> Cancel_trigger (int 8, pick [| "hb"; "p"; "gone" |])
+      | x when x < 52 -> Cancel_timer (int 1000)
+      | x when x < 56 -> Replace (int 4, int 1000)
+      | x when x < 58 -> Clear (int 4)
+      | x when x < 64 -> Clock (int 4, int 2_000 - 400)
+      | x when x < 66 -> Resync
+      | _ -> Advance (gen_span rng))
+
+(* Apply each op to the database's wheel and to one model queue per
+   partition member, checking after every op that each member's pending
+   queue equals its model, that cancels return the same timers, and
+   that [advance_to] delivers the same (object, instant) sequence. *)
+let run_model ops ~partitions =
+  let db =
+    D.create_db
+      ~config:{ D.Config.default with D.Config.partitions; durability = `Image }
+      ()
+  in
+  D.register_class db (model_schema ());
+  let oids =
+    expect_ok
+      (D.with_txn db (fun _ ->
+           List.init 6 (fun _ ->
+               let oid = D.create db "m" [] in
+               D.activate db oid "hb" [];
+               D.activate db oid "p" [];
+               oid)))
+  in
+  let oids = Array.of_list (oids @ [ 424_242; 424_243 ]) (* two dead *) in
+  let members = Store.members db in
+  let owner oid = oid mod partitions in
+  let model =
+    Array.map
+      (fun m ->
+        let q = Model.create () in
+        Model.replace q (Tw.pending m);
+        q)
+      members
+  in
+  let delivered = ref [] in
+  D.set_observability db true;
+  let _sink =
+    Ode_obs.Trace.add_sink
+      (Ode_obs.Registry.trace (D.observe db))
+      (function
+        | Ode_obs.Trace.Timer_delivered { oid; at_ms } ->
+          delivered := { Model.d_oid = oid; d_due = at_ms } :: !delivered
+        | _ -> ())
+  in
+  let stale = ref [] in
+  let fail op fmt = QCheck.Test.fail_reportf ("after %a: " ^^ fmt) pp_mop op in
+  let check op =
+    Array.iteri
+      (fun k m ->
+        if Tw.pending m <> Model.pending model.(k) then
+          fail op "member %d's wheel diverged from the model" k;
+        if Tw.pending_count m <> List.length (Model.pending model.(k)) then
+          fail op "member %d's pending count is off" k)
+      members
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Arm (o, trigger, epoch, spec, d) ->
+        let tm =
+          {
+            Types.tm_due = Int64.add (D.now db) (Int64.of_int d);
+            tm_seq = Tw.fresh_seq db;
+            tm_oid = oids.(o);
+            tm_trigger = trigger;
+            tm_epoch = epoch;
+            tm_spec = spec;
+            tm_anchor = D.now db;
+          }
+        in
+        stale := tm :: !stale;
+        Tw.insert_timer db tm;
+        Model.insert model.(owner tm.tm_oid) tm
+      | Cancel_object o ->
+        let oid = oids.(o) in
+        if Tw.cancel_object db oid <> Model.cancel_object model.(owner oid) oid then
+          fail op "cancelled a different set"
+      | Cancel_trigger (o, t) ->
+        let oid = oids.(o) in
+        if Tw.cancel_trigger db oid t <> Model.cancel_trigger model.(owner oid) oid t
+        then fail op "cancelled a different set"
+      | Cancel_timer i ->
+        let live = List.concat_map Tw.pending (Array.to_list members) in
+        let pool = if i mod 4 = 0 || live = [] then !stale else live in
+        if pool <> [] then begin
+          let tm = List.nth pool (i mod List.length pool) in
+          Tw.cancel_timer db tm;
+          Model.cancel_timer model.(owner tm.Types.tm_oid) tm
+        end
+      | Replace (k, seed) ->
+        let k = k mod partitions in
+        let keep =
+          List.filteri (fun j _ -> (j + seed) mod 4 <> 0) (Model.pending model.(k))
+        in
+        Tw.replace members.(k) keep;
+        Model.replace model.(k) keep
+      | Clear k ->
+        let k = k mod partitions in
+        Tw.clear members.(k);
+        Model.clear model.(k)
+      | Clock (k, hop) ->
+        (* forward hops stay below the member's earliest due — the
+           discipline a logged clock-only batch guarantees *)
+        let k = k mod partitions in
+        let m = members.(k) in
+        let target = Int64.add m.Types.wheel.Types.clock_ms (Int64.of_int hop) in
+        let target =
+          match Model.pending model.(k) with
+          | tm :: _ when hop > 0 -> min target (Int64.pred tm.Types.tm_due)
+          | _ -> target
+        in
+        if target >= 0L then Tw.set_member_clock m target
+      | Resync -> Tw.resync db
+      | Advance d ->
+        let target = Int64.add (D.now db) (Int64.of_int d) in
+        let next = ref db.Types.wheel.Types.tm_next_seq in
+        delivered := [];
+        Tw.advance_to db target;
+        let reschedule (t : Types.timer) =
+          let due =
+            match t.tm_spec with
+            | Symbol.Every p -> Some (Int64.add t.tm_due p)
+            | Symbol.After_period _ -> None
+            | Symbol.At pattern -> Clock.next_match pattern ~after:t.tm_due
+          in
+          Option.map
+            (fun due ->
+              let seq = !next in
+              incr next;
+              { t with tm_due = due; tm_seq = seq })
+            due
+        in
+        let expected =
+          Model.advance_to model ~owner ~target ~alive:(Tw.timer_alive db) ~reschedule
+        in
+        if List.rev !delivered <> expected then
+          fail op "delivered %d occurrences, the model %d" (List.length !delivered)
+            (List.length expected);
+        if !next <> db.Types.wheel.Types.tm_next_seq then
+          fail op "re-arms drew different seqs");
+      check op)
+    ops;
+  true
+
+let prop_model =
+  QCheck.Test.make
+    ~name:"wheel = sorted-list oracle after every entry point (partitions 1/2/4)"
+    ~count:50 QCheck.small_int (fun seed ->
+      let ops = gen_mops (Random.State.make [| seed; 0x5eed |]) in
+      List.for_all (fun partitions -> run_model ops ~partitions) [ 1; 2; 4 ])
 
 let prop_wal_recovery =
   QCheck.Test.make
@@ -182,21 +393,16 @@ let prop_wal_recovery =
     ~count:12 QCheck.small_int (fun seed ->
       let rng = Random.State.make [| seed; 0x33 |] in
       let ops = gen_ops rng in
-      let _, _, img0 = run_one ops ~partitions:1 ~wheel:false () in
+      let _, _, img0 = run_one ops ~partitions:1 () in
       List.for_all
         (fun p ->
           let dir = fresh_dir () in
           let cfg =
             Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
           in
-          let db, _, img =
-            run_one ops ~durability:(`Wal cfg) ~partitions:p ~wheel:true ()
-          in
+          let db, _, img = run_one ops ~durability:(`Wal cfg) ~partitions:p () in
           D.close_durability db;
-          let rdb =
-            mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:p ~wheel:true
-              ()
-          in
+          let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:p () in
           D.register_class rdb (schema ());
           D.recover rdb;
           let ok = String.equal (D.image_bytes rdb) img in
@@ -209,14 +415,13 @@ let prop_wal_recovery =
 (* ------------------------------------------------------------------ *)
 
 (* Equal deadlines deliver in activation order — the group-wide
-   [tm_seq] stamp — identically for both representations and at any
-   partition count (oids scatter over members; the merge re-serializes
-   them). *)
+   [tm_seq] stamp — at any partition count (oids scatter over members;
+   the merge re-serializes them). *)
 let test_equal_deadline_order () =
   let runs =
     List.map
-      (fun (wheel, partitions) ->
-        let db = mk_db ~partitions ~wheel () in
+      (fun partitions ->
+        let db = mk_db ~partitions () in
         D.register_class db (schema ());
         let fired = ref [] in
         let _s = D.subscribe_firings db (fun f -> fired := f.D.f_oid :: !fired) in
@@ -230,7 +435,7 @@ let test_equal_deadline_order () =
         in
         D.advance_clock db 70L;
         (oids, List.rev !fired))
-      [ (false, 1); (true, 1); (true, 4) ]
+      [ 1; 2; 4 ]
   in
   match runs with
   | (oids0, fired0) :: rest ->
@@ -245,82 +450,25 @@ let test_equal_deadline_order () =
    deleting an object releases its pending timers' bytes immediately
    (the lazy sweep kept them until due). *)
 let test_eager_cancel_stats () =
-  List.iter
-    (fun wheel ->
-      let db = mk_db ~partitions:1 ~wheel () in
-      D.register_class db (schema ());
-      let oid =
-        expect_ok
-          (D.with_txn db (fun _ ->
-               let oid = D.create db "probe" [] in
-               D.activate db oid "tick" [];
-               D.activate db oid "slow" [];
-               D.activate db oid "once" [];
-               oid))
-      in
-      let armed = (D.stats db).D.state_bytes in
-      expect_ok (D.with_txn db (fun _ -> D.deactivate db oid "tick"));
-      let one_less = (D.stats db).D.state_bytes in
-      Alcotest.(check bool) "deactivate released one timer" true
-        (armed - one_less >= 100);
-      expect_ok (D.with_txn db (fun _ -> D.delete db oid));
-      let gone = (D.stats db).D.state_bytes in
-      Alcotest.(check bool) "delete released the rest" true
-        (one_less - gone >= 200))
-    [ true; false ]
-
-(* ODE_TIMER_QUEUE selects the representation at create_db. *)
-let test_env_selector () =
-  let old = Sys.getenv_opt "ODE_TIMER_QUEUE" in
-  let restore () =
-    Unix.putenv "ODE_TIMER_QUEUE" (match old with Some s -> s | None -> "")
-  in
-  Fun.protect ~finally:restore (fun () ->
-      Unix.putenv "ODE_TIMER_QUEUE" "list";
-      Alcotest.(check bool) "list selects the sorted queue" false
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "wheel";
-      Alcotest.(check bool) "wheel selects the wheel" true
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "";
-      Alcotest.(check bool) "default is the wheel" true
-        (D.timer_wheel_enabled (D.create_db ()));
-      Unix.putenv "ODE_TIMER_QUEUE" "bogus";
-      Alcotest.(check bool) "unknown queue rejected" true
-        (match D.create_db () with
-        | exception D.Ode_error _ -> true
-        | _ -> false))
-
-(* Flipping the representation in place preserves the bytes and the
-   behaviour from that point on. *)
-let test_flip_representation () =
-  let db = mk_db ~partitions:1 ~wheel:true () in
-  let control = mk_db ~partitions:1 ~wheel:true () in
-  let seed_ops db =
-    D.register_class db (schema ());
+  let db = mk_db ~partitions:1 () in
+  D.register_class db (schema ());
+  let oid =
     expect_ok
       (D.with_txn db (fun _ ->
-           for _ = 1 to 4 do
-             let oid = D.create db "probe" [] in
-             D.activate db oid "tick" [];
-             D.activate db oid "slow" []
-           done));
-    D.advance_clock db 100L
+           let oid = D.create db "probe" [] in
+           D.activate db oid "tick" [];
+           D.activate db oid "slow" [];
+           D.activate db oid "once" [];
+           oid))
   in
-  seed_ops db;
-  seed_ops control;
-  let img = D.image_bytes db in
-  D.set_timer_wheel db false;
-  Alcotest.(check bool) "flipped to the list" false (D.timer_wheel_enabled db);
-  Alcotest.(check bool) "bytes preserved by wheel -> list" true
-    (String.equal (D.image_bytes db) img);
-  D.set_timer_wheel db true;
-  Alcotest.(check bool) "bytes preserved by list -> wheel" true
-    (String.equal (D.image_bytes db) img);
-  D.advance_clock db 5_000L;
-  D.advance_clock control 5_000L;
-  Alcotest.(check bool) "flip is behaviour-transparent" true
-    (String.equal (D.image_bytes db) (D.image_bytes control))
+  let armed = (D.stats db).D.state_bytes in
+  expect_ok (D.with_txn db (fun _ -> D.deactivate db oid "tick"));
+  let one_less = (D.stats db).D.state_bytes in
+  Alcotest.(check bool) "deactivate released one timer" true
+    (armed - one_less >= 100);
+  expect_ok (D.with_txn db (fun _ -> D.delete db oid));
+  let gone = (D.stats db).D.state_bytes in
+  Alcotest.(check bool) "delete released the rest" true (one_less - gone >= 200)
 
 (* Regression: a WAL batch that moves the clock without touching the
    queue must keep wheel placement consistent on replay — the recovered
@@ -331,7 +479,7 @@ let test_clock_only_replay () =
   let cfg =
     Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
   in
-  let db = mk_db ~durability:(`Wal cfg) ~partitions:1 ~wheel:true () in
+  let db = mk_db ~durability:(`Wal cfg) ~partitions:1 () in
   D.register_class db (schema ());
   expect_ok
     (D.with_txn db (fun _ ->
@@ -341,7 +489,7 @@ let test_clock_only_replay () =
      that crosses the level-0 rotation the timer was placed under *)
   D.advance_clock db 65L;
   D.close_durability db;
-  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:1 ~wheel:true () in
+  let rdb = mk_db ~durability:(`Wal (Wal.config dir)) ~partitions:1 () in
   D.register_class rdb (schema ());
   D.recover rdb;
   let fired = ref 0 in
@@ -352,11 +500,12 @@ let test_clock_only_replay () =
 
 (* The fleet scenario end to end, small: cadence deliveries, one-shot
    service alerts, eager cancellation via idle/retire — identical for
-   both representations. *)
+   one engine and a two-member partition group. *)
 let test_fleet_small () =
-  let run wheel =
-    Unix.putenv "ODE_TIMER_QUEUE" (if wheel then "wheel" else "list");
-    let fleet = Ode_scenarios.Fleet.setup ~vehicles:30 () in
+  let run partitions =
+    let fleet =
+      Ode_scenarios.Fleet.setup ~db:(mk_db ~partitions ()) ~vehicles:30 ()
+    in
     Ode_scenarios.Fleet.tick fleet 1_000L;
     let beats1 = Ode_scenarios.Fleet.total_beats fleet in
     Ode_scenarios.Fleet.idle fleet ~stride:3;
@@ -367,36 +516,27 @@ let test_fleet_small () =
       Ode_scenarios.Fleet.total_alerts fleet,
       D.image_bytes fleet.Ode_scenarios.Fleet.db )
   in
-  let old = Sys.getenv_opt "ODE_TIMER_QUEUE" in
-  let restore () =
-    Unix.putenv "ODE_TIMER_QUEUE" (match old with Some s -> s | None -> "")
-  in
-  Fun.protect ~finally:restore (fun () ->
-      let b1, b2, alerts, img_w = run true in
-      let b1', b2', alerts', img_l = run false in
-      (* 10 vehicles each at 50/250/1000 ms over 1000 ms *)
-      Alcotest.(check int) "first-second heartbeats" ((20 * 10) + (4 * 10) + 10)
-        b1;
-      Alcotest.(check bool) "idle fleet keeps beating" true (b2 > b1);
-      Alcotest.(check bool) "service checks came due" true (alerts > 0);
-      Alcotest.(check int) "list rep: same first-second beats" b1 b1';
-      Alcotest.(check int) "list rep: same final beats" b2 b2';
-      Alcotest.(check int) "list rep: same alerts" alerts alerts';
-      Alcotest.(check bool) "list rep: same image bytes" true
-        (String.equal img_w img_l))
+  let b1, b2, alerts, img1 = run 1 in
+  let b1', b2', alerts', img2 = run 2 in
+  (* 10 vehicles each at 50/250/1000 ms over 1000 ms *)
+  Alcotest.(check int) "first-second heartbeats" ((20 * 10) + (4 * 10) + 10) b1;
+  Alcotest.(check bool) "idle fleet keeps beating" true (b2 > b1);
+  Alcotest.(check bool) "service checks came due" true (alerts > 0);
+  Alcotest.(check int) "2 partitions: same first-second beats" b1 b1';
+  Alcotest.(check int) "2 partitions: same final beats" b2 b2';
+  Alcotest.(check int) "2 partitions: same alerts" alerts alerts';
+  Alcotest.(check bool) "2 partitions: same image bytes" true (String.equal img1 img2)
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_oracle;
+    QCheck_alcotest.to_alcotest prop_model;
+    QCheck_alcotest.to_alcotest prop_scripts;
     QCheck_alcotest.to_alcotest prop_wal_recovery;
     Alcotest.test_case "equal deadlines keep activation order" `Quick
       test_equal_deadline_order;
     Alcotest.test_case "eager cancellation frees state bytes" `Quick
       test_eager_cancel_stats;
-    Alcotest.test_case "ODE_TIMER_QUEUE selector" `Quick test_env_selector;
-    Alcotest.test_case "representation flip is transparent" `Quick
-      test_flip_representation;
     Alcotest.test_case "clock-only WAL batch replay (regression)" `Quick
       test_clock_only_replay;
-    Alcotest.test_case "fleet scenario, wheel vs list" `Quick test_fleet_small;
+    Alcotest.test_case "fleet scenario, partitions 1 vs 2" `Quick test_fleet_small;
   ]
