@@ -756,37 +756,24 @@ let e10_obs () =
   pf "wrote BENCH_obs.json@."
 
 (* ------------------------------------------------------------------ *)
-(* E11-shard: batch posting throughput vs domain count                  *)
+(* E12-kernel: the compiled posting kernel vs the reference stepper     *)
 (* ------------------------------------------------------------------ *)
 
-(* [post_many] on the sharded backend: N objects, each carrying
-   perpetual never-completing triggers (half of them masked), one ping
-   per object per batch. Zero firings, so the batch is almost pure
-   classify/step — the phase the domain pool parallelises — and the
-   rows isolate its scaling. The 1-domain row {e is} the sequential
-   baseline: at [post_domains = 1] the pipeline takes the inline
-   no-pool path. Emits BENCH_shard.json for EXPERIMENTS.md.
+(* shared by E12-kernel and E16-partition: N objects, each carrying
+   perpetual never-completing triggers (half of them masked) *)
+let kernel_n_objects = 256
+let kernel_triggers_per_obj = 4
 
-   Honest-measurement note: the speedup column can only reach the
-   available cores; [cores] is recorded in the JSON so a 1-core CI run
-   showing ~1.0x is read as a hardware limit, not a regression. *)
-(* shared by E11-shard and E12-kernel: N objects on a sharded heap, each
-   carrying perpetual never-completing triggers (half of them masked) *)
-let shard_n_objects = 256
-let shard_triggers_per_obj = 4
-let shard_count = 8
-
-let shard_workload () =
+let kernel_workload () =
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
-  let db = T.make_db ~backend:(St.backend_of (`Sharded shard_count)) () in
+  let db = T.make_db () in
   let b = Sc.define_class "c" in
   let b = Sc.field b "x" (Value.Int 1) in
   let rec add b i =
-    if i >= shard_triggers_per_obj then b
+    if i >= kernel_triggers_per_obj then b
     else
       add
         (Sc.trigger_str b ~perpetual:true
@@ -800,9 +787,9 @@ let shard_workload () =
   Sc.register_class db (add b 0);
   match
     Tx.with_txn db (fun _ ->
-        List.init shard_n_objects (fun _ ->
+        List.init kernel_n_objects (fun _ ->
             let oid = E.create db "c" [] in
-            for i = 0 to shard_triggers_per_obj - 1 do
+            for i = 0 to kernel_triggers_per_obj - 1 do
               E.activate db oid (Printf.sprintf "t%d" i) []
             done;
             oid))
@@ -810,129 +797,49 @@ let shard_workload () =
   | Ok oids -> (db, oids)
   | Error `Aborted -> failwith "abort"
 
-let e11_shard () =
-  section "E11-shard: post_many classify/step throughput vs domain count";
-  let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
-  let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
-  let triggers_per_obj = shard_triggers_per_obj in
-  let shards = shard_count in
-  let measure domains =
-    let db, oids = shard_workload () in
-    E.set_post_domains db domains;
-    let items =
-      List.map (fun oid -> (oid, Sym.Method (Sym.After, "ping"), [])) oids
-    in
-    let tx = Tx.begin_txn db in
-    ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
-    let ns = measure_ns (fun () -> ignore (E.post_many db items)) in
-    (match Tx.commit db tx with Ok () | Error `Aborted -> ());
-    E.shutdown_pool db;
-    ns /. float_of_int n_objects
-  in
-  let rows = List.map (fun d -> (d, measure d)) [ 1; 2; 4 ] in
-  let base = snd (List.hd rows) in
-  let cores = Domain.recommended_domain_count () in
-  pf "objects=%d triggers/object=%d shards=%d cores=%d@." n_objects
-    triggers_per_obj shards cores;
-  pf "%-10s %16s %18s %12s@." "domains" "ns/event" "events/sec" "speedup";
-  List.iter
-    (fun (d, ns) ->
-      pf "%-10d %16.0f %18.0f %11.2fx@." d ns (1e9 /. ns) (base /. ns))
-    rows;
-  pf "shape: the step phase is embarrassingly parallel (§5: one integer per\n\
-      trigger per object); scaling is bounded by min(domains, shards, cores).@.";
-  let oc = open_out "BENCH_shard.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E11-shard\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"post_many on a sharded heap (%d shards): %d objects x \
-     %d perpetual never-completing triggers, one ping per object per batch; \
-     1-domain row is the sequential baseline\",\n"
-    shards n_objects triggers_per_obj;
-  p "  \"cores\": %d,\n" cores;
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (d, ns) ->
-      p
-        "    {\"domains\": %d, \"ns_per_event\": %.0f, \"events_per_sec\": %.0f, \
-         \"speedup_vs_1\": %.2f}%s\n"
-        d ns (1e9 /. ns) (base /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_shard.json@."
+(* 256 objects x 4 perpetual never-completing triggers, zero firings,
+   through both posting paths: the legacy indexed path the kernel
+   replaced, kept as the reference stepper's [Index] mode
+   (test/reference/stepper.ml) — per-post candidate resolution,
+   closure-driven classification, boxed stepping — vs the compiled
+   kernel — per-class candidate rows, packed classification codes,
+   flat-table stepping over the SoA state, one reusable scratch.
 
-(* ------------------------------------------------------------------ *)
-(* E12-kernel: the compiled posting kernel vs the reference stepper     *)
-(* ------------------------------------------------------------------ *)
-
-(* The E11-shard schema (256 objects x 4 perpetual never-completing
-   triggers, zero firings) through both posting paths: the legacy
-   indexed path the kernel replaced, kept as the reference stepper's
-   [Index] mode (test/reference/stepper.ml) — per-post candidate
-   resolution, closure-driven classification, boxed stepping — vs the
-   compiled kernel — per-class candidate rows, packed classification
-   codes, flat-table stepping over the SoA state, per-shard queues and
-   scratch.
-
-   Batches are 4 events/object (wide enough that one pool rendezvous
-   amortises over ~1k events), under two skews: [uniform] spreads the
+   Batches are 4 events/object under two skews: [uniform] spreads the
    batch round-robin over every object, [contended] sends 80% of the
-   events to the objects of 20% of the shards — the hot-key skew that
-   makes static shard ownership degenerate into a straggler domain.
-   The 1-domain rows are the sequential comparison; 2/4/recommended
-   rows show the parallel step phase composing with it. Each row also
-   reports minor-heap words allocated per posted event (main domain
-   only, so the column is exact for the sequential rows and a lower
-   bound for the parallel ones) and its {e effective} domain count:
-   post_domains clamped to min(shards, recommended cores) — on a small
-   box the extra-domain rows honestly collapse onto the sequential one
-   instead of reporting oversubscription noise as scaling. Emits
-   BENCH_kernel.json. *)
+   events to 20% of the objects. Each row also reports minor-heap words
+   allocated per posted event. Emits BENCH_kernel.json. *)
 let e12_kernel () =
   section "E12-kernel: compiled posting kernel vs legacy indexed path (reference stepper)";
-  let module St = Ode_odb.Store in
   let module E = Ode_odb.Engine in
   let module Tx = Ode_odb.Txn in
   let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
+  let n_objects = kernel_n_objects in
   let events_per_obj = 4 in
   let n_events = n_objects * events_per_obj in
-  let cores = Domain.recommended_domain_count () in
-  let hot_shards = max 1 (shard_count / 5) in
-  let build_items ~contended db oids =
+  let n_hot = max 1 (n_objects / 5) in
+  let build_items ~contended oids =
     let ping oid = (oid, Sym.Method (Sym.After, "ping"), []) in
     if not contended then
       List.concat_map
         (fun oid -> List.init events_per_obj (fun _ -> ping oid))
         oids
     else begin
-      (* 80% of the batch on the objects of the first 20% of shards *)
-      let hot, cold =
-        List.partition (fun oid -> St.shard_of db oid < hot_shards) oids
-      in
-      let hot = Array.of_list hot and cold = Array.of_list cold in
+      (* 80% of the batch on the first 20% of the objects *)
+      let oids = Array.of_list oids in
+      let hot = Array.sub oids 0 n_hot
+      and cold = Array.sub oids n_hot (n_objects - n_hot) in
       List.init n_events (fun k ->
           if k mod 5 < 4 then ping hot.(k mod Array.length hot)
           else ping cold.(k mod Array.length cold))
     end
   in
-  let measure ~kernel ~domains ~contended =
-    let db, oids = shard_workload () in
+  let measure ~kernel ~contended =
+    let db, oids = kernel_workload () in
     if not kernel then Ode_reference.Stepper.install db Ode_reference.Stepper.Index;
-    E.set_post_domains db domains;
-    let items = build_items ~contended db oids in
+    let items = build_items ~contended oids in
     let tx = Tx.begin_txn db in
     ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
-    (* best of three: the rows differing only in configured (not
-       effective) domains run identical code, and should read as such *)
     let ns =
       List.fold_left min infinity
         (List.init 3 (fun _ ->
@@ -947,70 +854,56 @@ let e12_kernel () =
       (Gc.minor_words () -. w0) /. float_of_int (batches * n_events)
     in
     (match Tx.commit db tx with Ok () | Error `Aborted -> ());
-    E.shutdown_pool db;
-    (* mirror the engine's clamping so the JSON reports what actually ran *)
-    let effective = min domains (min shard_count cores) in
-    (ns /. float_of_int n_events, words, effective)
+    (ns /. float_of_int n_events, words)
   in
-  let row path domains contended =
-    let ns, w, eff = measure ~kernel:(path = "kernel") ~domains ~contended in
-    (path, (if contended then "contended" else "uniform"), domains, eff, ns, w)
+  let row path contended =
+    let ns, w = measure ~kernel:(path = "kernel") ~contended in
+    (path, (if contended then "contended" else "uniform"), ns, w)
   in
   let rows =
     [
-      row "legacy" 1 false;
-      row "kernel" 1 false;
-      row "kernel" 2 false;
-      row "kernel" 4 false;
-      row "kernel" cores false;
-      row "kernel" 1 true;
-      row "kernel" 4 true;
+      row "legacy" false;
+      row "kernel" false;
+      row "legacy" true;
+      row "kernel" true;
     ]
   in
   let base =
-    match rows with (_, _, _, _, ns, _) :: _ -> ns | [] -> assert false
+    match rows with (_, _, ns, _) :: _ -> ns | [] -> assert false
   in
-  pf "objects=%d triggers/object=%d shards=%d cores=%d batch=%d events@."
-    n_objects shard_triggers_per_obj shard_count cores n_events;
-  pf "%-8s %-10s %8s %5s %12s %14s %16s %9s@." "path" "workload" "domains"
-    "eff" "ns/event" "events/sec" "minor words/ev" "speedup";
+  pf "objects=%d triggers/object=%d batch=%d events@." n_objects
+    kernel_triggers_per_obj n_events;
+  pf "%-8s %-10s %12s %14s %16s %9s@." "path" "workload" "ns/event"
+    "events/sec" "minor words/ev" "speedup";
   List.iter
-    (fun (path, wl, d, eff, ns, w) ->
-      pf "%-8s %-10s %8d %5d %12.0f %14.0f %16.1f %8.2fx@." path wl d eff ns
-        (1e9 /. ns) w (base /. ns))
+    (fun (path, wl, ns, w) ->
+      pf "%-8s %-10s %12.0f %14.0f %16.1f %8.2fx@." path wl ns (1e9 /. ns) w
+        (base /. ns))
     rows;
   pf "shape: the kernel removes per-post candidate list building, closure\n\
       allocation and per-detector cache lookups — the classify/step sweep\n\
-      is a linear pass over int arrays with a constant allocation envelope.\n\
-      Under the contended skew the hot shards' queues serialise on their\n\
-      owning domains; the uniform rows bound the achievable scaling.@.";
+      is a linear pass over int arrays with a constant allocation envelope.@.";
   let oc = open_out "BENCH_kernel.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
   p "  \"experiment\": \"E12-kernel\",\n";
   p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
   p
-    "  \"description\": \"E11-shard schema (%d shards, %d objects x %d \
-     perpetual never-completing triggers), batches of %d events (%d per \
-     object) through the legacy indexed posting path (the reference \
-     stepper's Index mode) vs the compiled kernel; contended rows send \
-     80%% of the batch to the objects of %d of the shards; effective_domains = post_domains clamped to min(shards, \
-     cores); minor_words_per_event counts main-domain minor-heap \
-     allocation, exact for 1-domain rows\",\n"
-    shard_count n_objects shard_triggers_per_obj n_events events_per_obj
-    hot_shards;
-  p "  \"cores\": %d,\n" cores;
-  p "  \"domain_clamp\": true,\n";
+    "  \"description\": \"%d objects x %d perpetual never-completing \
+     triggers, batches of %d events (%d per object) through the legacy \
+     indexed posting path (the reference stepper's Index mode) vs the \
+     compiled kernel; contended rows send 80%% of the batch to %d of the \
+     objects; minor_words_per_event counts minor-heap allocation\",\n"
+    n_objects kernel_triggers_per_obj n_events events_per_obj n_hot;
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
   List.iteri
-    (fun i (path, wl, d, eff, ns, w) ->
+    (fun i (path, wl, ns, w) ->
       p
-        "    {\"path\": \"%s\", \"workload\": \"%s\", \"domains\": %d, \
-         \"effective_domains\": %d, \"ns_per_event\": %.0f, \
+        "    {\"path\": \"%s\", \"workload\": \"%s\", \"ns_per_event\": %.0f, \
          \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"speedup_vs_legacy_seq\": %.2f}%s\n"
-        path wl d eff ns (1e9 /. ns) w (base /. ns)
+         \"speedup_vs_legacy_uniform\": %.2f}%s\n"
+        path wl ns (1e9 /. ns) w (base /. ns)
         (if i = last then "" else ","))
     rows;
   p "  ]\n";
@@ -1037,20 +930,13 @@ let smoke () =
   let r = D.observe db in
   pf "%a@." Obs.pp r;
   if Obs.get r Obs.Posts = 0 then failwith "smoke: no posts counted";
-  (* sharded backend + parallel post_many: a 2-domain batch must fire
-     exactly like a 1-domain rerun of the same workload, on a uniform
-     batch and on an 80/20 hot-key-skewed one. Clamp and threshold are
-     lifted so the pool machinery really runs even on a 1-core box. *)
-  let batch_firings ?(partitions = 1) ~contended domains =
+  (* post_many on a single engine and on an oid-sliced engine group:
+     every event of a uniform batch and of an 80/20 hot-key-skewed one
+     must fire *)
+  let batch_firings ?(partitions = 1) ~contended () =
     let db =
-      D.create_db
-        ~config:
-          { D.Config.default with D.Config.backend = `Sharded 4; partitions }
-        ()
+      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
     in
-    D.set_post_domains db domains;
-    D.set_domain_clamp db false;
-    D.set_parallel_threshold db 0;
     let b = D.define_class "s" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
     let b =
@@ -1079,29 +965,17 @@ let smoke () =
            fired := D.post_many db items)
      with
     | Ok () -> ()
-    | Error `Aborted -> failwith "smoke: shard transaction aborted");
-    D.shutdown_pool db;
+    | Error `Aborted -> failwith "smoke: batch transaction aborted");
     !fired
   in
-  let f1 = batch_firings ~contended:false 1
-  and f2 = batch_firings ~contended:false 2 in
-  if f1 <> 8 || f2 <> 8 then
+  let f1 = batch_firings ~contended:false ()
+  and c1 = batch_firings ~contended:true () in
+  if f1 <> 8 || c1 <> 40 then
     failwith
-      (Printf.sprintf "smoke: sharded post_many fired %d/%d (want 8/8)" f1 f2);
-  let c1 = batch_firings ~contended:true 1
-  and c2 = batch_firings ~contended:true 2 in
-  if c1 <> 40 || c2 <> 40 then
-    failwith
-      (Printf.sprintf "smoke: contended post_many fired %d/%d (want 40/40)" c1
-         c2);
-  pf
-    "smoke ok (sharded post_many: %d/%d firings at 1/2 domains uniform, \
-     %d/%d contended).@."
-    f1 f2 c1 c2;
-  (* partitioned post_many: an oid-sliced engine group must fire exactly
-     like the single engine on the same batches *)
-  let p2 = batch_firings ~partitions:2 ~contended:true 2
-  and p4 = batch_firings ~partitions:4 ~contended:true 1 in
+      (Printf.sprintf "smoke: post_many fired %d/%d (want 8/40)" f1 c1);
+  pf "smoke ok (post_many: %d uniform, %d contended firings).@." f1 c1;
+  let p2 = batch_firings ~partitions:2 ~contended:true ()
+  and p4 = batch_firings ~partitions:4 ~contended:true () in
   if p2 <> 40 || p4 <> 40 then
     failwith
       (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 40/40)"
@@ -1233,7 +1107,6 @@ let smoke () =
   let wired = wire_drain 0 in
   Client.close sub;
   Server.stop srv;
-  D.shutdown_pool sdb;
   if wired <> 8 then
     failwith (Printf.sprintf "smoke: wire subscriber saw %d/8 firings" wired);
   pf "wire smoke ok (8/8 firings streamed over loopback, clean stop).@.";
@@ -1242,9 +1115,8 @@ let smoke () =
      (timer_alive rejects them at delivery), so this exercises pure
      queue mechanics — insert, cascade, group pull — at fleet scale. *)
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
-  let tdb = T.make_db ~backend:(St.backend_of `Heap) () in
+  let tdb = T.make_db () in
   let trng = Random.State.make [| 9191 |] in
   let (), arm_s =
     time_once (fun () ->
@@ -1521,7 +1393,6 @@ let e15_serve () =
     let seen = List.length (Client.poll_firings sub) + Client.lagged_total sub in
     Client.close sub;
     Server.stop srv;
-    DB.shutdown_pool db;
     Array.sort compare lat;
     let pct p =
       lat.(min (Array.length lat - 1) (int_of_float (p *. float_of_int (Array.length lat))))
@@ -1576,7 +1447,7 @@ let e15_serve () =
 (* E16-partition: post_many throughput vs partition count               *)
 (* ------------------------------------------------------------------ *)
 
-(* The E11-shard workload through an oid-sliced engine group: 256
+(* The E12-kernel workload through an oid-sliced engine group: 256
    objects x 4 perpetual never-completing triggers, one ping per object
    per batch, zero firings — measured at 1/2/4 partitions on two batch
    shapes. [uniform] spreads the batch round-robin over the members
@@ -1589,12 +1460,10 @@ let e16_partition () =
   section "E16-partition: post_many throughput vs partition count";
   let module D = Ode_odb.Database in
   let module Sym = Ode_event.Symbol in
-  let n_objects = shard_n_objects in
-  let triggers_per_obj = shard_triggers_per_obj in
+  let n_objects = kernel_n_objects in
+  let triggers_per_obj = kernel_triggers_per_obj in
   let mk partitions =
-    let config =
-      { D.Config.default with D.Config.backend = `Sharded shard_count; partitions }
-    in
+    let config = { D.Config.default with D.Config.partitions } in
     let db = D.create_db ~config () in
     let b = D.define_class "c" in
     let b = D.field b "x" (Value.Int 1) in
@@ -1642,7 +1511,6 @@ let e16_partition () =
     ignore (D.post_many db items) (* warm-up batch pays the tbegin posts *);
     let ns = measure_ns (fun () -> ignore (D.post_many db items)) in
     (match D.commit db tx with Ok () | Error `Aborted -> ());
-    D.shutdown_pool db;
     ns /. float_of_int n_objects
   in
   let counts = [ 1; 2; 4 ] in
@@ -1651,8 +1519,7 @@ let e16_partition () =
       (fun p -> [ (p, "uniform", measure ~hot:false p); (p, "hot", measure ~hot:true p) ])
       counts
   in
-  pf "objects=%d triggers/object=%d shards/member=%d@." n_objects
-    triggers_per_obj shard_count;
+  pf "objects=%d triggers/object=%d@." n_objects triggers_per_obj;
   pf "%-12s %-10s %16s %18s@." "partitions" "batch" "ns/event" "events/sec";
   List.iter
     (fun (p, shape, ns) ->
@@ -1666,11 +1533,11 @@ let e16_partition () =
   p "  \"experiment\": \"E16-partition\",\n";
   p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
   p
-    "  \"description\": \"post_many through an oid-sliced engine group (%d \
-     shards per member): %d objects x %d perpetual never-completing triggers, \
-     one ping per object per batch; uniform spreads the batch over the \
-     members, hot routes it all to one member\",\n"
-    shard_count n_objects triggers_per_obj;
+    "  \"description\": \"post_many through an oid-sliced engine group: \
+     %d objects x %d perpetual never-completing triggers, one ping per \
+     object per batch; uniform spreads the batch over the members, hot \
+     routes it all to one member\",\n"
+    n_objects triggers_per_obj;
   p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
@@ -1705,7 +1572,6 @@ let e16_partition () =
 let e17_timer () =
   section "E17-timer: timing wheel vs sorted-list model (arm) + wheel advance sweep";
   let module T = Ode_odb.Types in
-  let module St = Ode_odb.Store in
   let module Tw = Ode_odb.Timewheel in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
@@ -1737,7 +1603,7 @@ let e17_timer () =
     let dues = Array.init k (fun _ -> rand_due rng) in
     let (), total =
       if wheel then begin
-        let db = T.make_db ~backend:(St.backend_of `Heap) () in
+        let db = T.make_db () in
         Tw.replace db queue;
         time_once (fun () ->
             Array.iteri (fun i due -> Tw.insert_timer db (mk_timer (n + i) due)) dues)
@@ -1758,7 +1624,7 @@ let e17_timer () =
      [pad] extra timers are parked beyond the window (no live object),
      occupying the structure without ever coming due. *)
   let sweep ~objects ~period ~advance_ms ~pad =
-    let db = T.make_db ~backend:(St.backend_of (`Sharded 8)) () in
+    let db = T.make_db () in
     let b = Sc.define_class "node" in
     let b =
       Sc.trigger_str b ~perpetual:true "hb"
@@ -2006,7 +1872,7 @@ let () =
   let all =
     [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
       ("e7", e7); ("e8", e8); ("e9", e9); ("e9d", e9_dispatch); ("e10", e10);
-      ("e10o", e10_obs); ("e11", e11); ("e11s", e11_shard); ("e12", e12);
+      ("e10o", e10_obs); ("e11", e11); ("e12", e12);
       ("e12k", e12_kernel); ("e14w", e14_wal); ("e15s", e15_serve);
       ("e16p", e16_partition); ("e17t", e17_timer); ("micro", bechamel_suite);
       ("smoke", smoke) ]

@@ -3,10 +3,9 @@
      odes serve --port 7912 --schema examples/odl/stockroom.odl
 
    The database is configured exactly like an embedded one: the
-   Database.Config env vars (ODE_STORE_BACKEND, ODE_DURABILITY,
-   ODE_PARTITIONS, ODE_POST_DOMAINS) apply, and the serve-specific
-   knobs (port, batch window, outbox bound, backpressure) ride on the
-   same Config record. A partitioned engine is wire-transparent:
+   Database.Config env vars (ODE_DURABILITY, ODE_PARTITIONS) apply,
+   and the serve-specific knobs (port, batch window, outbox bound,
+   backpressure) ride on the same Config record. A partitioned engine is wire-transparent:
    coalesced batches route by oid inside post_many, and batch serials
    and firing totals in replies are identical at any partition count. *)
 

@@ -5,10 +5,7 @@
     accepting connections, decoding frames, executing verbs and
     draining per-client outboxes all happen on that thread, so the
     engine below never sees concurrent callers — client concurrency is
-    multiplexed into a single serialized request stream, and the
-    parallelism {e inside} a [post_many] batch (the [Pool] domains
-    configured by [Config.post_domains]) keeps working untouched
-    underneath.
+    multiplexed into a single serialized request stream.
 
     The coalescer is what makes the wire path fast: [post] /
     [post_many] requests from clients with no open transaction

@@ -106,66 +106,86 @@ let matches p ms =
     ok p.year c.c_year && ok p.mon c.c_mon && ok p.day c.c_day && ok p.hr c.c_hr
     && ok p.min c.c_min && ok p.sec c.c_sec && ok p.ms c.c_ms
 
-(* Candidate values of a field: the fixed value, or the whole range. *)
-let candidates field lo hi =
-  match field with Some v -> [ v ] | None -> List.init (hi - lo + 1) (fun i -> lo + i)
+(* Time-of-day fields, most significant first: hr, min, sec, ms. *)
+let tod_hi = [| 23; 59; 59; 999 |]
+let tod_ms = [| 3_600_000; 60_000; 1_000; 1 |]
+
+(* Smallest time of day (ms) >= [bound] whose fields match [pat] (an
+   [int option] per field, [None] = any), chosen field by field: a free
+   field first keeps the bound's value and, if the fields below cannot
+   then reach the bound, carries to the next value with the fields below
+   at their least. Constant work; [None] if no such time today. *)
+let first_time_of_day pat bound =
+  let rec least i =
+    if i = 4 then 0 else (tod_ms.(i) * Option.value pat.(i) ~default:0) + least (i + 1)
+  in
+  let rec from i =
+    if i = 4 then Some 0
+    else
+      let b = bound.(i) in
+      let at v rest = Option.map (fun r -> (tod_ms.(i) * v) + r) rest in
+      match pat.(i) with
+      | Some v when v < 0 || v > tod_hi.(i) -> None
+      | Some v when v > b -> at v (Some (least (i + 1)))
+      | Some v when v = b -> at v (from (i + 1))
+      | Some _ -> None
+      | None -> (
+        match at b (from (i + 1)) with
+        | Some t -> Some t
+        | None when b < tod_hi.(i) -> at (b + 1) (Some (least (i + 1)))
+        | None -> None)
+  in
+  from 0
+
+(* First date strictly after [(year, mon, day)] matching the date
+   fields, scanning month by month: only the pinned year when there is
+   one, else the next nine years (a leap day recurs within eight). *)
+let next_date (p : Symbol.time_pattern) ~year ~mon ~day =
+  let last = match p.year with Some y -> y | None -> year + 8 in
+  let rec scan y m lo =
+    if y > last then None
+    else if m > 12 then scan (y + 1) 1 1
+    else
+      let dim = days_in_month y m in
+      let d =
+        match p.day with
+        | Some v -> if v >= lo && v <= dim then Some v else None
+        | None -> if lo <= dim then Some lo else None
+      in
+      match d with
+      | Some d when p.mon = None || p.mon = Some m -> Some (y, m, d)
+      | Some _ | None -> scan y (m + 1) 1
+  in
+  match p.year with
+  | Some y when y > year -> scan y 1 1
+  | Some _ | None -> scan year mon (day + 1)
 
 let next_match p ~after =
   match normalize p with
   | None -> None
   | Some p ->
     let start = civil_of_ms (Int64.succ after) in
-    let start_day = days_from_civil ~year:start.c_year ~mon:start.c_mon ~day:start.c_day in
-    let horizon = start_day + 3660 (* ~10 years *) in
-    let day_matches year mon day =
-      (match p.year with None -> true | Some v -> v = year)
-      && (match p.mon with None -> true | Some v -> v = mon)
-      && (match p.day with None -> true | Some v -> v = day)
-      && day <= days_in_month year mon
+    let pat = [| p.hr; p.min; p.sec; p.ms |] in
+    let at ~year ~mon ~day t =
+      Int64.add
+        (Int64.mul (Int64.of_int (days_from_civil ~year ~mon ~day)) ms_per_day)
+        (Int64.of_int t)
     in
-    (* Smallest time-of-day (in ms) matching the hr/min/sec/ms pattern and
-       >= bound; None if no such time today. *)
-    let first_time_of_day ~bound =
-      let best = ref None in
-      List.iter
-        (fun hr ->
-          List.iter
-            (fun min ->
-              List.iter
-                (fun sec ->
-                  (* after [normalize], ms is always pinned *)
-                  List.iter
-                    (fun msf ->
-                      let t = (hr * 3_600_000) + (min * 60_000) + (sec * 1_000) + msf in
-                      if t >= bound then
-                        match !best with
-                        | Some b when b <= t -> ()
-                        | _ -> best := Some t)
-                    (candidates p.ms 0 999))
-                (candidates p.sec 0 59))
-            (candidates p.min 0 59))
-        (candidates p.hr 0 23);
-      !best
+    let ok field v = match field with None -> true | Some f -> f = v in
+    let today =
+      if ok p.year start.c_year && ok p.mon start.c_mon && ok p.day start.c_day
+      then
+        first_time_of_day pat
+          [| start.c_hr; start.c_min; start.c_sec; start.c_ms |]
+      else None
     in
-    let rec scan day =
-      if day > horizon then None
-      else begin
-        let year, mon, dom = civil_from_days day in
-        let bound =
-          if day = start_day then
-            (start.c_hr * 3_600_000) + (start.c_min * 60_000) + (start.c_sec * 1_000)
-            + start.c_ms
-          else 0
-        in
-        if day_matches year mon dom then
-          match first_time_of_day ~bound with
-          | Some t ->
-            Some (Int64.add (Int64.mul (Int64.of_int day) ms_per_day) (Int64.of_int t))
-          | None -> scan (day + 1)
-        else scan (day + 1)
-      end
-    in
-    scan start_day
+    match today with
+    | Some t -> Some (at ~year:start.c_year ~mon:start.c_mon ~day:start.c_day t)
+    | None ->
+      Option.bind (first_time_of_day pat [| 0; 0; 0; 0 |]) (fun t ->
+          Option.map
+            (fun (year, mon, day) -> at ~year ~mon ~day t)
+            (next_date p ~year:start.c_year ~mon:start.c_mon ~day:start.c_day))
 
 let pp_ms ppf ms =
   let c = civil_of_ms ms in

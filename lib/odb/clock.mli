@@ -28,10 +28,16 @@ val civil : ?hr:int -> ?min:int -> ?sec:int -> ?ms:int -> int -> int -> int -> c
 val is_leap : int -> bool
 val days_in_month : int -> int -> int
 
+val normalize : Ode_event.Symbol.time_pattern -> Ode_event.Symbol.time_pattern option
+(** Pin the fields below the least-significant specified one to 0;
+    [None] if the pattern specifies no field. *)
+
 val next_match : Ode_event.Symbol.time_pattern -> after:int64 -> int64 option
-(** Smallest instant strictly greater than [after] matching the pattern,
-    or [None] if there is none within the search horizon (10 years) or the
-    pattern specifies no field at all. *)
+(** Smallest instant strictly greater than [after] matching the pattern.
+    [None] if the pattern specifies no field, a field is out of range,
+    or no date matches: within the pinned year, or within the next nine
+    years when the year is free. The time of day costs constant work;
+    the date search steps by month. *)
 
 val matches : Ode_event.Symbol.time_pattern -> int64 -> bool
 (** Does this instant match the pattern (with the below-LSF = 0

@@ -66,7 +66,6 @@ let set_observability (db : t) flag =
 
 (* Lifecycle *)
 
-type backend_spec = Store.spec
 type durability_spec = [ `Image | `Wal of Wal.config ]
 
 (* A fresh unique directory for an env-selected WAL — each database
@@ -93,12 +92,8 @@ module Config = struct
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    backend : backend_spec;
     durability : durability_spec;
     partitions : int;
-    post_domains : int;
-    domain_clamp : bool;
-    parallel_threshold : int;
     timing : bool;
     serve : serve;
   }
@@ -114,27 +109,21 @@ module Config = struct
       max_frame_bytes = 16 * 1024 * 1024;
     }
 
-  (* These mirror [Types.make_db] and the engine-state initializers —
-     a bare [create_db ()] and a [create_db ~config:Config.default ()]
+  (* These mirror [Types.make_db] — a bare [create_db ()] and a [create_db ~config:Config.default ()]
      are the same database. *)
   let default =
     {
       start_time = 0L;
       max_tcomplete_rounds = 1000;
       trace_capacity = 1024;
-      backend = `Heap;
       durability = `Image;
       partitions = 1;
-      post_domains = 1;
-      domain_clamp = true;
-      parallel_threshold = 32;
       timing = false;
       serve = default_serve;
     }
 
   (* CI runs the whole suite against the WAL backend with
-     ODE_DURABILITY=wal (optionally wal:<flush_ms>), mirroring the
-     ODE_STORE_BACKEND escape hatch. *)
+     ODE_DURABILITY=wal (optionally wal:<flush_ms>). *)
   let durability_of_env () : durability_spec =
     match Sys.getenv_opt "ODE_DURABILITY" with
     | None | Some "" | Some "image" -> `Image
@@ -152,46 +141,26 @@ module Config = struct
       | Some _ | None -> Types.ode_error "ODE_DURABILITY: unknown backend %S" s)
 
   let of_env () =
-    let c =
-      {
-        default with
-        backend = Store.default_spec ();
-        durability = durability_of_env ();
-      }
-    in
+    let c = { default with durability = durability_of_env () } in
     (* CI also runs the suite partitioned: ODE_PARTITIONS=n slices
        every database created through the env path into an n-member
        engine group *)
-    let c =
-      match Sys.getenv_opt "ODE_PARTITIONS" with
-      | None | Some "" -> c
-      | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> { c with partitions = n }
-        | Some n ->
-          Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)"
-            n
-        | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
-    in
-    (* the test/CI override that forces the parallel machinery on even
-       for small batches and past the core-count clamp *)
-    match Sys.getenv_opt "ODE_POST_DOMAINS" with
+    match Sys.getenv_opt "ODE_PARTITIONS" with
     | None | Some "" -> c
     | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 ->
-        { c with post_domains = n; domain_clamp = false; parallel_threshold = 0 }
+      | Some n when n >= 1 -> { c with partitions = n }
       | Some n ->
-        Types.ode_error "ODE_POST_DOMAINS: domain count must be >= 1 (got %d)" n
-      | None -> Types.ode_error "ODE_POST_DOMAINS: bad domain count %S" s)
+        Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)"
+          n
+      | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
 end
 
 let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
-    ?backend ?durability () =
+    ?durability () =
   (* composition root: resolve one [Config.t], then instantiate the
-     store and durability backends from it — [Types] holds both
-     abstractly and cannot depend on [Store], [Persist] or [Wal]. The
-     old optionals override their [Config] field when given. *)
+     durability backend from it — [Types] holds it abstractly and
+     cannot depend on [Persist] or [Wal]. The old optionals override their [Config] field when given. *)
   let c = match config with Some c -> c | None -> Config.of_env () in
   let override v field = match v with Some v -> v | None -> field in
   let c =
@@ -201,7 +170,6 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
       max_tcomplete_rounds =
         override max_tcomplete_rounds c.Config.max_tcomplete_rounds;
       trace_capacity = override trace_capacity c.Config.trace_capacity;
-      backend = override backend c.Config.backend;
       durability = override durability c.Config.durability;
     }
   in
@@ -221,17 +189,12 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
         | `Image -> Persist.image_backend ()
         | `Wal cfg -> Wal.backend cfg
       in
-      Types.make_db
-        ~backend:(Store.backend_of c.Config.backend)
-        ~start_time:c.Config.start_time
+      Types.make_db ~start_time:c.Config.start_time
         ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
         ~trace_capacity:c.Config.trace_capacity ~durability:dur ()
     else begin
-      (* a fresh backend instance per member — never shared *)
       let db =
-        Engine_group.make
-          ~backend_of:(fun _ -> Store.backend_of c.Config.backend)
-          ~partitions ~start_time:c.Config.start_time
+        Engine_group.make ~partitions ~start_time:c.Config.start_time
           ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
           ~trace_capacity:c.Config.trace_capacity ()
       in
@@ -242,14 +205,9 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
       db
     end
   in
-  Engine.set_post_domains db c.Config.post_domains;
-  Engine.set_domain_clamp db c.Config.domain_clamp;
-  Engine.set_parallel_threshold db c.Config.parallel_threshold;
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
-
-let backend_name = Store.backend_name
 
 let durability_name (db : t) = db.Types.durability.Types.dur_name
 let partitions (db : t) = Types.n_partitions db
@@ -257,12 +215,8 @@ let partitions (db : t) = Types.n_partitions db
 let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
-    "backend=%s durability=%s partitions=%d post_domains=%d domain_clamp=%s \
-     parallel_threshold=%d obs=%s timing=%s clock=%Ldms"
-    (backend_name db) (durability_name db) (partitions db)
-    (Engine.post_domains db)
-    (onoff (Engine.domain_clamp db))
-    (Engine.parallel_threshold db)
+    "durability=%s partitions=%d obs=%s timing=%s clock=%Ldms"
+    (durability_name db) (partitions db)
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -299,13 +253,6 @@ let call = Engine.call
 let has_method = Engine.has_method
 let apply_fun = Engine.apply_fun
 let post_many = Engine.post_many
-let set_post_domains = Engine.set_post_domains
-let post_domains = Engine.post_domains
-let set_parallel_threshold = Engine.set_parallel_threshold
-let parallel_threshold = Engine.parallel_threshold
-let set_domain_clamp = Engine.set_domain_clamp
-let domain_clamp = Engine.domain_clamp
-let shutdown_pool = Engine.shutdown_pool
 let get_field = Store.get_field
 let set_field = Engine.set_field
 

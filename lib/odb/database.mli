@@ -152,13 +152,6 @@ val register_fun : t -> string -> (t -> Value.t list -> Value.t) -> unit
 
 (** {1 Database lifecycle} *)
 
-type backend_spec = Store.spec
-(** Which heap backend to instantiate: [`Heap] (one hashtable) or
-    [`Sharded n] (n hashtables partitioned by oid, over which
-    {!post_many} can parallelise its classify/step phase). Both are
-    observably identical — same firings, same order, same {!save}
-    bytes — per the {!Store} ordering contract. *)
-
 type durability_spec = [ `Image | `Wal of Wal.config ]
 (** Which durability backend to attach: [`Image] (the ODE1 full-image
     codec — {!save}/{!load} only, nothing written between saves) or
@@ -173,12 +166,11 @@ type durability_spec = [ `Image | `Wal of Wal.config ]
 
     Every knob the database (and the [odes serve] network front door
     over it) accepts, gathered into one plain record. Historically the
-    knobs accreted as five [create_db] optionals plus post-hoc setters
-    ({!set_post_domains}, {!set_parallel_threshold},
-    {!set_domain_clamp}, [Ode_obs.Registry.set_timing]) plus three environment variables
-    parsed in three different places; {!Config.t} is now the single
-    source of truth. The old optionals and setters remain as thin,
-    documented shims over it. *)
+    knobs accreted as [create_db] optionals, the
+    [Ode_obs.Registry.set_timing] setter and environment variables
+    parsed in different places; {!Config.t} is now the single source of
+    truth. The old optionals remain as thin, documented shims over
+    it. *)
 module Config : sig
   type backpressure = Block | Drop
   (** What a full per-subscriber firing outbox does to the server:
@@ -209,14 +201,10 @@ module Config : sig
     start_time : int64;
     max_tcomplete_rounds : int;
     trace_capacity : int;
-    backend : backend_spec;
     durability : durability_spec;
     partitions : int;
         (** engine members slicing the database by oid ([oid mod n]);
             1 = the classic single engine. See [Engine_group]. *)
-    post_domains : int;
-    domain_clamp : bool;
-    parallel_threshold : int;
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -227,31 +215,25 @@ module Config : sig
       1024-firing outboxes, [Block] backpressure, 16 MiB frames. *)
 
   val default : t
-  (** The documented defaults, environment ignored: heap backend,
-      image durability, 1 partition, 1 post domain (clamped,
-      threshold 32), timing off, {!default_serve}. *)
+  (** The documented defaults, environment ignored: image durability,
+      1 partition, timing off, {!default_serve}. *)
 
   val of_env : unit -> t
-  (** {!default} with the four environment overrides applied — the
-      one parser for all of them, raising {!Ode_error} with the
-      offending variable named on any malformed value:
+  (** {!default} with the two environment overrides applied — the
+      one parser for both, raising {!Ode_error} with the offending
+      variable named on any malformed value:
 
-      - [ODE_STORE_BACKEND=heap|sharded|sharded:<n>] sets [backend];
       - [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
         ([wal] in a fresh temporary directory — how CI runs the whole
         suite under the log);
       - [ODE_PARTITIONS=<n>] sets [partitions] (how CI runs the whole
-        suite partitioned);
-      - [ODE_POST_DOMAINS=<n>] sets [post_domains = n], disables
-        [domain_clamp] and zeroes [parallel_threshold] (the test/CI
-        override that forces the parallel machinery on even on a
-        small box). *)
+        suite partitioned). *)
 end
 
 val create_db :
   ?config:Config.t ->
   ?start_time:int64 -> ?max_tcomplete_rounds:int -> ?trace_capacity:int ->
-  ?backend:backend_spec -> ?durability:durability_spec -> unit -> t
+  ?durability:durability_spec -> unit -> t
 (** Build a database from [config] (default: {!Config.of_env} — so a
     bare [create_db ()] honours the environment exactly as before the
     [Config] facade existed). The remaining optionals are compatibility
@@ -269,18 +251,10 @@ val create_db :
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    backend, durability, partition count, domain/threshold settings,
-    observability state and the clock — e.g.
-    ["backend=sharded:8 durability=wal:/var/ode partitions=2 \
-     post_domains=4 domain_clamp=on parallel_threshold=32 obs=off \
-     timing=off clock=0ms"].
-    Surfaced by [odec schema] and the server's [status] verb.
-    {!backend_name} and {!durability_name} are its two components kept
-    as standalone accessors. *)
-
-val backend_name : t -> string
-(** ["heap"] or ["sharded:<n>"] — the [backend=] component of
-    {!config_summary}. *)
+    durability, partition count, observability state and the clock —
+    e.g. ["durability=wal:/var/ode partitions=2 obs=off timing=off \
+    clock=0ms"]. Surfaced by [odec schema] and the server's [status]
+    verb. *)
 
 val durability_name : t -> string
 (** ["image"] or ["wal:<dir>"] — the [durability=] component of
@@ -418,13 +392,9 @@ val apply_fun : t -> string -> Value.t list -> Value.t
 (** {1 Batch event posting}
 
     {!post_many} drives the §5 pipeline over a whole batch of basic
-    events in three phases: touch/lock/history sequentially in batch
-    order, then classify + automaton step with one task per heap shard
-    (parallel across up to {!post_domains} domains on a [`Sharded]
-    backend — safe because detection state is per-object and the batch
-    is partitioned by shard), then all firing strictly sequentially.
-    The outcome, firing order included, is bit-identical whatever the
-    domain count or backend. *)
+    events in three sequential passes, each in batch order:
+    touch/lock/history, then classify + automaton step, then
+    firing. *)
 
 val post_many :
   t -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
@@ -434,40 +404,6 @@ val post_many :
     run after the whole batch has stepped, in batch order then
     declaration order. Dead or missing oids are skipped. Returns the
     number of firings. Requires an active transaction. *)
-
-val set_post_domains : t -> int -> unit
-(** Domain count for {!post_many}'s step phase (default 1, i.e. fully
-    sequential). At use the count is clamped to the backend's shard
-    count and — while {!domain_clamp} holds — to
-    [Domain.recommended_domain_count ()], so configuring more domains
-    than the machine has cores cannot regress a run. Raises
-    {!Ode_error} if < 1. *)
-
-val post_domains : t -> int
-
-val set_parallel_threshold : t -> int -> unit
-(** Minimum batch size (default 32) below which {!post_many} steps
-    sequentially even when {!post_domains} > 1 — smaller batches lose
-    more to the pool rendezvous than they gain from parallelism. Set 0
-    to always take the parallel machinery. Raises {!Ode_error} if
-    negative. *)
-
-val parallel_threshold : t -> int
-
-val set_domain_clamp : t -> bool -> unit
-(** Whether the effective domain count is clamped to
-    [Domain.recommended_domain_count ()] (default [true]). Turn off
-    only to force oversubscription, e.g. to exercise the multi-domain
-    machinery deterministically on a small machine — the
-    [ODE_POST_DOMAINS] environment variable does exactly that at
-    {!create_db}: [ODE_POST_DOMAINS=n] sets {!set_post_domains} [n],
-    disables the clamp and zeroes {!set_parallel_threshold}. *)
-
-val domain_clamp : t -> bool
-
-val shutdown_pool : t -> unit
-(** Join and discard the cached domain pool, if any; idempotent. Call
-    before discarding a database that ran multi-domain batches. *)
 
 val get_field : t -> oid -> string -> Value.t
 (** Raw field read for method bodies and examples; posts no events. *)

@@ -40,22 +40,19 @@ let count_active triggers =
    per database, and run the same workload through both. *)
 let set_stepper db stepper = db.engine.stepper <- stepper
 
-(* Per-lane scratch buffers, built on first kernel post. A lane is a
-   (partition member, shard) pair — just a shard when unpartitioned —
-   and the lane count is fixed at database creation, so the array never
-   resizes. Each scratch is built against its lane's member (lookups
-   route group-wide either way; the siting keeps lane tasks touching
-   only their member's slice). *)
+(* The scratch buffer, built on first kernel post against the facade
+   (lookups route group-wide from any member). *)
 let ensure_scratch db =
-  if Array.length db.engine.scratch = 0 then
-    db.engine.scratch <-
-      Array.init (Store.lanes db) (fun l ->
-          Store.make_scratch (Store.member_of_lane db l));
-  db.engine.scratch
+  match db.engine.scratch with
+  | Some sc -> sc
+  | None ->
+    let sc = Store.make_scratch (Types.primary db) in
+    db.engine.scratch <- Some sc;
+    sc
 
 (* Retire a scratch's accumulated counter bumps to the registry: one
-   atomic add per counter per post phase (per shard task under
-   [post_many]) instead of one per candidate. *)
+   atomic add per counter per post or batch instead of one per
+   candidate. *)
 let flush_scratch_counters obs sc =
   if sc.sc_classified <> 0 then begin
     Registry.add obs Registry.Classified sc.sc_classified;
@@ -139,14 +136,13 @@ let unsubscribe db s =
         alphabet, once per distinct shared detector. Read-only (guard
         masks may be evaluated; detection state is never touched).
      2. {e step} — advance each candidate activation's automaton and
-        collect §9 bindings. Independent per activation; this is the
-        phase [post_many] fans out across domains, one shard per task.
+        collect §9 bindings. Independent per activation.
      3. {e fire} — deactivate one-shots and run fired actions, strictly
         sequential, in batch then declaration order.
 
    [post] runs all three inline on one occurrence; [post_many] runs
-   phase 1+2 per shard (possibly in parallel) and phase 3 once; the
-   compiled kernel below implements phases 1+2 for object scope. *)
+   phases 1+2 over the whole batch, then phase 3 once; the compiled
+   kernel below implements phases 1+2 for object scope. *)
 
 let mask_error at msg =
   if at.at_def.t_class = "<database>" then
@@ -163,7 +159,7 @@ let mask_error at msg =
 (* The per-event path with everything hoisted to registration or
    activation time: candidate resolution is one hashtable probe into the
    class's prebuilt [krow]; classification runs once per distinct shared
-   detector, producing a packed int code in the shard scratch's buffer;
+   detector, producing a packed int code in the scratch's buffer;
    stepping a mask-free detector is one flat-table load on its SoA
    block. The helpers are top-level and tail-recursive (not closures)
    and the counters accumulate in the scratch, so a steady-state post
@@ -210,10 +206,8 @@ let rec classify_pass sc (row : krow) (o_acts : active_trigger option array)
 
 (* Step pass: advance each active candidate, accumulating the fired
    set in reverse (steady state: no cons). Committed-mode snapshots go
-   to [undo] — the caller's segment, merged into the transaction log
-   afterwards (a per-shard segment under [post_many]). Mutates only the
-   candidates' own state, so distinct objects step safely in parallel;
-   the span emissions are mutexed. *)
+   to [undo], which the caller merges into the transaction log
+   afterwards. *)
 let rec step_pass db ~undo ~on sc (row : krow) obj occurrence i acc =
   if i >= Array.length row.kr_defs then List.rev acc
   else
@@ -291,21 +285,14 @@ let kernel_post_one db ~undo ~on sc obj (occurrence : Symbol.occurrence) =
       if Array.length sc.sc_codes < n_dets then
         sc.sc_codes <- Array.make (max 16 (2 * n_dets)) unclassified
       else Array.fill sc.sc_codes 0 n_dets unclassified;
-      (* the ref retains the last posted object of the shard until the
-         next post — deliberate: re-wrapping per call is the only
-         allocation this assignment costs, and clearing it afterwards
-         would need a protect closure *)
+      (* the ref retains the last posted object until the next post —
+         deliberate: re-wrapping per call is the only allocation this
+         assignment costs, and clearing it afterwards would need a
+         protect closure *)
       sc.sc_obj := Some obj;
       classify_pass sc row obj.o_acts occurrence 0;
       step_pass db ~undo ~on sc row obj occurrence 0 []
     end
-
-(* Phases 1+2 for one occurrence on one object: the kernel, unless a
-   test stepper is installed. *)
-let step_one db ~undo ~on sc obj occurrence =
-  match db.engine.stepper with
-  | None -> kernel_post_one db ~undo ~on sc obj occurrence
-  | Some step -> step db ~undo obj occurrence
 
 (* ------------------------------------------------------------------ *)
 (* The firing pipeline                                                 *)
@@ -365,8 +352,8 @@ let post_fired db tx obj occurrence fired =
     fired;
   fired <> []
 
-(* End one post's step phase: merge its undo segment — even when a mask
-   blew up mid-walk, so an abort still restores the already-stepped
+(* End a step phase: merge its undo snapshots — even when a mask blew up
+   mid-walk, so an abort still restores the already-stepped
    committed-mode candidates — and flush its counters. *)
 let retire_step tx undo ~on obs sc =
   if !undo <> [] then tx.tx_undo <- !undo @ tx.tx_undo;
@@ -392,10 +379,14 @@ let post db tx obj (basic : Symbol.basic) args =
          { scope = Trace.Obj obj.o_id; basic = kind_name db basic; txn = tx.tx_id;
            at_ms = occurrence.Symbol.at })
   end;
-  let sc = (ensure_scratch db).(Store.lane_of db obj.o_id) in
+  let sc = ensure_scratch db in
   let undo = ref [] in
   let fired =
-    match step_one db ~undo ~on sc obj occurrence with
+    match
+      match db.engine.stepper with
+      | None -> kernel_post_one db ~undo ~on sc obj occurrence
+      | Some step -> (step db ~undo [| (obj, occurrence) |]).(0)
+    with
     | fired ->
       retire_step tx undo ~on obs sc;
       fired
@@ -556,7 +547,7 @@ let activate_db_trigger db name params =
     match Hashtbl.find_opt db.engine.db_triggers name with
     | Some at ->
       (* database-scope activations always own their word vector — the
-         SoA blocks are per-shard, and the database scope has none *)
+         SoA blocks belong to a heap, and the database scope has none *)
       at.at_state <- S_words (Detector.initial def.t_detector);
       at.at_collected <- [];
       at.at_provenance <-
@@ -697,68 +688,27 @@ let touch db tx obj =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Batch posting: post_many and the domain pool                         *)
+(* Batch posting                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let set_post_domains db n =
-  if n < 1 then ode_error "post_domains must be >= 1 (got %d)" n;
-  db.engine.post_domains <- n
-
-let post_domains db = db.engine.post_domains
-
-let set_parallel_threshold db n =
-  if n < 0 then ode_error "parallel_threshold must be >= 0 (got %d)" n;
-  db.engine.parallel_threshold <- n
-
-let parallel_threshold db = db.engine.parallel_threshold
-
-let set_domain_clamp db flag = db.engine.clamp_domains <- flag
-let domain_clamp db = db.engine.clamp_domains
-
-let shutdown_pool db =
-  match db.engine.pool with
-  | Some p ->
-    db.engine.pool <- None;
-    Pool.shutdown p
-  | None -> ()
-
-(* The pool is lazily built and cached on the database; resized (torn
-   down and respawned) only when [set_post_domains] changed the target
-   size since the last batch. *)
-let ensure_pool db ~size =
-  match db.engine.pool with
-  | Some p when Pool.size p = size -> p
-  | Some _ | None ->
-    shutdown_pool db;
-    let p = Pool.create ~size in
-    db.engine.pool <- Some p;
-    p
-
 (* Post a batch of basic events in one sweep of the three-phase
-   pipeline. Phase 0 (here) and phase 3 (firing) are strictly
-   sequential in {e batch order}; phases 1+2 (classify + step) run one
-   task per shard — in parallel across up to [post_domains db] domains
-   on a sharded backend — which is safe because a shard task only
-   mutates detection state of objects it owns (§5: one automaton per
-   trigger per object) and never touches the heap structurally.
+   pipeline, every phase sequential in {e batch order}.
 
    Batch semantics: every event in the batch is classified and stepped
    against the detection state {e as of the start of the batch's step
    phase}; fired actions all run after the whole batch has stepped.
-   Events addressed to the same object step in batch order. The result
-   is bit-identical — firing order included — whatever the domain count
-   or backend, and equals the 1-domain sequential sweep by
-   construction. Dead or missing oids are skipped, like [system_post].
-   Returns the number of firings. *)
+   Events addressed to the same object step in batch order. Dead or
+   missing oids are skipped, like [system_post]. Returns the number of
+   firings. *)
 let post_many_nonempty db items =
   let tx = Txn.require_txn db in
   let obs = db.obs in
   let on = Registry.enabled obs in
   let timed = Registry.timing obs in
   let t0 = if timed then Registry.now_ns () else 0 in
-  let scratch = ensure_scratch db in
-  (* Phase 0 — sequential, batch order: resolve targets, first-touch
-     [after tbegin], write locks, §9 history, Posted probes. *)
+  let sc = ensure_scratch db in
+  (* Phase 0: resolve targets, first-touch [after tbegin], write locks,
+     §9 history, Posted probes. *)
   let resolved =
     List.filter_map
       (fun (oid, basic, args) ->
@@ -787,92 +737,26 @@ let post_many_nonempty db items =
   in
   let resolved = Array.of_list resolved in
   let n = Array.length resolved in
-  let nsh = Store.lanes db in
-  (* Still phase 0: route each event to its lane's queue (owner member
-     × member shard; just the shard when unpartitioned) — a counting
-     sort of item indices into reusable engine buffers, one int per
-     event and no closures — so a lane task walks only its own events
-     instead of filtering the whole batch. *)
-  let eng = db.engine in
-  if Array.length eng.q_off < nsh + 1 then begin
-    eng.q_off <- Array.make (nsh + 1) 0;
-    eng.q_cur <- Array.make nsh 0
-  end;
-  if Array.length eng.q_items < n then
-    eng.q_items <- Array.make (max 64 (2 * n)) 0;
-  let q_off = eng.q_off
-  and q_cur = eng.q_cur
-  and q_items = eng.q_items in
-  Array.fill q_off 0 (nsh + 1) 0;
-  for i = 0 to n - 1 do
-    let obj, _ = resolved.(i) in
-    let s = Store.lane_of db obj.o_id in
-    q_off.(s + 1) <- q_off.(s + 1) + 1
-  done;
-  for s = 0 to nsh - 1 do
-    q_off.(s + 1) <- q_off.(s + 1) + q_off.(s);
-    q_cur.(s) <- q_off.(s)
-  done;
-  for i = 0 to n - 1 do
-    let obj, _ = resolved.(i) in
-    let s = Store.lane_of db obj.o_id in
-    q_items.(q_cur.(s)) <- i;
-    q_cur.(s) <- q_cur.(s) + 1
-  done;
-  (* Phases 1+2 — one task per shard, each sweeping its queue in batch
-     order; fired sets land in a per-item slot (disjoint writes),
-     committed-mode undo snapshots in a per-shard segment.
-     [Fun.protect] flushes the segment even when a mask blows up
-     mid-shard, so the merge below always sees every snapshot that was
-     taken. *)
-  let fired = Array.make n [] in
-  let segments = Array.make nsh [] in
-  let step_shard s =
-    let undo = ref [] in
-    let lo = q_off.(s) and hi = q_off.(s + 1) in
-    (* the shard task owns its scratch; counters batch there and flush
-       once per task, so the inner loop's only shared writes are the
-       disjoint [fired] slots *)
-    let sc = scratch.(s) in
+  (* Phases 1+2: fired sets land in a per-item slot, committed-mode undo
+     snapshots in one list. [Fun.protect] merges the snapshots even when
+     a mask blows up mid-batch, so an abort restores every automaton
+     that already stepped. *)
+  let undo = ref [] in
+  let fired =
     Fun.protect
-      ~finally:(fun () ->
-        segments.(s) <- !undo;
-        if on then flush_scratch_counters obs sc)
+      ~finally:(fun () -> retire_step tx undo ~on obs sc)
       (fun () ->
-        for j = lo to hi - 1 do
-          let i = q_items.(j) in
-          let obj, occurrence = resolved.(i) in
-          fired.(i) <- step_one db ~undo ~on sc obj occurrence
-        done)
+        match db.engine.stepper with
+        | Some step -> step db ~undo resolved
+        | None ->
+          let fired = Array.make n [] in
+          for i = 0 to n - 1 do
+            let obj, occurrence = resolved.(i) in
+            fired.(i) <- kernel_post_one db ~undo ~on sc obj occurrence
+          done;
+          fired)
   in
-  (* Effective parallelism: never more domains than shards; by default
-     never more than the box has cores (oversubscription buys only
-     contention — [set_domain_clamp] opts out for tests); and below the
-     batch threshold the pool barrier costs more than it amortizes, so
-     small batches step inline on the caller. *)
-  let domains =
-    let d = min db.engine.post_domains nsh in
-    let d =
-      if db.engine.clamp_domains then
-        min d (Domain.recommended_domain_count ())
-      else d
-    in
-    if n < db.engine.parallel_threshold then 1 else d
-  in
-  let merge () = Txn.merge_undo_segments tx (Array.to_list segments) in
-  (match
-     if domains <= 1 || n = 0 then
-       for s = 0 to nsh - 1 do
-         step_shard s
-       done
-     else Pool.run_static (ensure_pool db ~size:domains) ~tasks:nsh step_shard
-   with
-  | () -> merge ()
-  | exception e ->
-    merge ();
-    raise e);
-  (* Phase 3 — sequential firing: batch order, declaration order within
-     one event (preserved by construction above). *)
+  (* Phase 3: firing, batch order, declaration order within one event. *)
   let count = ref 0 in
   for i = 0 to n - 1 do
     match fired.(i) with
@@ -886,7 +770,7 @@ let post_many_nonempty db items =
   !count
 
 (* An empty batch is a true no-op past the open-transaction check: no
-   queue rebuild, no scratch, no pool wake — and, for callers batching
+   scratch, no probes — and, for callers batching
    at a durability boundary, nothing marks the transaction dirty, so a
    barrier-only wire flush emits no WAL record. *)
 let post_many db items =

@@ -16,17 +16,17 @@ open Types
 
 val set_stepper :
   db ->
-  (db -> undo:undo_entry list ref -> obj -> Ode_event.Symbol.occurrence ->
-   active_trigger list)
+  (db -> undo:undo_entry list ref -> (obj * Ode_event.Symbol.occurrence) array ->
+   active_trigger list array)
   option ->
   unit
 (** Replace the compiled kernel's classify/step phases for object-scope
     posts on this database (every partition member) with a reference
     stepper; [None] (the state of every database at creation) restores
-    the kernel. The stepper receives the committed-mode undo segment to
-    extend and returns the fired activations in firing order; it may be
-    called from {!post_many}'s parallel step tasks. This exists for the
-    equivalence tests, which drive one workload through the kernel and
+    the kernel. The stepper receives the committed-mode undo list to
+    extend and a batch of occurrences in batch order ({!post} passes a
+    batch of one), and returns each item's fired activations in firing
+    order. This exists for the equivalence tests, which drive one workload through the kernel and
     through an independent oracle — nothing else sets it. *)
 
 (** {1 The posting pipeline} *)
@@ -50,54 +50,16 @@ val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
 (** {1 Batch posting}
 
     [post_many] drives the same three-phase pipeline over a whole batch:
-    phase 0 (touch/lock/history/probes) and phase 3 (firing) run
-    sequentially in batch order; the classify + step phases run one task
-    per heap shard, fanned out across up to {!post_domains} domains on a
-    sharded backend. Safe because a shard task only mutates detection
-    state of objects its shard owns (§5: one automaton per trigger per
-    object); committed-mode undo snapshots accumulate in per-shard
-    segments merged deterministically by {!Txn.merge_undo_segments}. *)
+    phase 0 (touch/lock/history/probes), the classify + step loop and
+    phase 3 (firing) each run once over the batch, in batch order. *)
 
 val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
 (** Post a batch of basic events. Every event is classified and stepped
     against the detection state as of the start of the batch's step
     phase (events to the same object step in batch order); all fired
     actions run after the whole batch has stepped, in batch order then
-    declaration order. The outcome — firing order included — is
-    bit-identical whatever the domain count or backend. Dead or missing
-    oids are skipped, like {!system_post}. Returns the number of
-    firings. *)
-
-val set_post_domains : db -> int -> unit
-(** Target domain count for [post_many]'s step phase (default 1 —
-    fully sequential). At use the count is clamped to the backend's
-    shard count and — while {!domain_clamp} holds — to
-    [Domain.recommended_domain_count ()]; the cached pool is rebuilt on
-    the next batch after a change. Raises {!Types.Ode_error} if < 1. *)
-
-val post_domains : db -> int
-
-val set_parallel_threshold : db -> int -> unit
-(** Minimum batch size (default 32) below which [post_many] steps
-    sequentially even with [post_domains] > 1: a small batch loses more
-    to the pool rendezvous than it gains from the fan-out. 0 means
-    always use the configured domains. Raises {!Types.Ode_error} if
-    negative. *)
-
-val parallel_threshold : db -> int
-
-val set_domain_clamp : db -> bool -> unit
-(** Whether the effective domain count is clamped to
-    [Domain.recommended_domain_count ()] (default [true]). Disabling it
-    deliberately oversubscribes the machine — tests use this to drive
-    the real multi-domain machinery on a 1-core box. *)
-
-val domain_clamp : db -> bool
-
-val shutdown_pool : db -> unit
-(** Join and discard the cached domain pool, if any. Idempotent; the
-    next parallel [post_many] respawns it. Call before discarding a
-    database that ran multi-domain batches. *)
+    declaration order. Dead or missing oids are skipped, like
+    {!system_post}. Returns the number of firings. *)
 
 (** {1 Firing notification}
 

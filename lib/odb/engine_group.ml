@@ -1,7 +1,7 @@
 (* Engine group: N engine members slicing one logical database by oid.
 
    Member [k] owns every oid with [oid mod n = k]: its own heap slice
-   (store backend + SoA blocks), its own timer wheel and its own
+   (object table + SoA blocks), its own timer wheel and its own
    durability log. Everything else — schema, transaction state, engine
    state (db-scope automata, scratch, knobs), observability — is the
    {e same} record, shared by construction: members are field-for-field
@@ -11,8 +11,8 @@
 
    Member 0 is the facade handed to callers; its [part] field (like
    every member's) points at the full member array, which is all the
-   routing helpers in [Types]/[Store] need. Determinism: batches are
-   bucketed by lane in batch-index order, timers merge by the
+   routing helpers in [Types]/[Store] need. Determinism: batches step
+   in batch order whatever member owns each target, timers merge by the
    group-wide [(tm_due, tm_seq)] stamp, and the group image writers in
    [Persist] merge slices back into single-engine byte order — so
    firings, counters and ODE1 bytes are identical at any partition
@@ -20,31 +20,19 @@
 
 open Types
 
-let make ~backend_of ~partitions ?start_time ?max_tcomplete_rounds
-    ?trace_capacity () =
+let make ~partitions ?start_time ?max_tcomplete_rounds ?trace_capacity () =
   if partitions < 1 then
     ode_error "partition count must be >= 1 (got %d)" partitions;
-  let m0 =
-    make_db ~backend:(backend_of 0) ?start_time ?max_tcomplete_rounds
-      ?trace_capacity ()
-  in
+  let m0 = make_db ?start_time ?max_tcomplete_rounds ?trace_capacity () in
   if partitions = 1 then m0
   else begin
     let members =
       Array.init partitions (fun k ->
           if k = 0 then m0
           else
-            let backend = backend_of k in
             {
               m0 with
-              store =
-                {
-                  backend;
-                  next_oid = m0.store.next_oid;
-                  n_live = 0;
-                  history_limit = 0;
-                  soa = Array.init backend.sb_shards (fun _ -> Hashtbl.create 8);
-                };
+              store = make_store ~next_oid:m0.store.next_oid;
               wheel =
                 {
                   clock_ms = m0.wheel.clock_ms;

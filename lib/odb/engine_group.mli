@@ -15,16 +15,14 @@
 open Types
 
 val make :
-  backend_of:(int -> store_backend) ->
   partitions:int ->
   ?start_time:int64 ->
   ?max_tcomplete_rounds:int ->
   ?trace_capacity:int ->
   unit ->
   db
-(** Build the member array and return the facade (member 0).
-    [backend_of k] supplies member [k]'s store backend — a fresh
-    backend per member, never shared. The facade is built with the
+(** Build the member array and return the facade (member 0), each
+    member with its own empty heap slice. The facade is built with the
     no-op durability backend; callers install one of the backends
     below (or any other) and [dur_attach] it, exactly as
     [Database.create_db] does for a single engine. Raises

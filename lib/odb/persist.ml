@@ -183,8 +183,8 @@ let image_bytes db =
   Codec.write_int w db.store.next_oid;
   Codec.write_int w db.txns.next_txn_id;
   Codec.write_int w (Int64.to_int db.wheel.clock_ms);
-  (* backend-neutral: [live_objects] sorts to ascending oid per the
-     Store ordering contract, so Heap and Sharded images are identical *)
+  (* [live_objects] sorts to ascending oid per the Store ordering
+     contract, so images do not depend on hash order *)
   Codec.write_list w write_obj (Store.live_objects db);
   (* [Timewheel.pending] emits (due, seq) order, whatever the wheel's
      internal placement *)

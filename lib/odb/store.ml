@@ -2,182 +2,18 @@ module Value = Ode_base.Value
 module Mask = Ode_event.Mask
 open Types
 
-(* ------------------------------------------------------------------ *)
-(* Backend signature                                                   *)
-(* ------------------------------------------------------------------ *)
-
-module type STORE = sig
-  type t
-
-  val add : t -> obj -> unit
-  val find : t -> oid -> obj option
-  val mem : t -> oid -> bool
-  val remove : t -> oid -> unit
-  val reset : t -> unit
-  val cardinal : t -> int
-  val iter : (obj -> unit) -> t -> unit
-  val fold : (obj -> 'a -> 'a) -> t -> 'a -> 'a
-  val shards : t -> int
-  val shard_of : t -> oid -> int
-end
-
-module Heap : sig
-  include STORE with type t = (oid, obj) Hashtbl.t
-
-  val create : unit -> t
-end = struct
-  type t = (oid, obj) Hashtbl.t
-
-  let create () = Hashtbl.create 64
-  let add t o = Hashtbl.add t o.o_id o
-  let find t oid = Hashtbl.find_opt t oid
-  let mem t oid = Hashtbl.mem t oid
-  let remove t oid = Hashtbl.remove t oid
-  let reset t = Hashtbl.reset t
-  let cardinal t = Hashtbl.length t
-  let iter f t = Hashtbl.iter (fun _ o -> f o) t
-  let fold f t init = Hashtbl.fold (fun _ o acc -> f o acc) t init
-  let shards _ = 1
-  let shard_of _ _ = 0
-end
-
-(* N hashtables partitioned by oid hash. The partition is what the
-   engine's batch pipeline parallelises over: all activations of one
-   object live in exactly one shard, so one domain per shard steps
-   automata with no shared mutable state. The per-shard mutex guards the
-   {e table} against concurrent structural mutation; the engine only
-   mutates from sequential phases, so lookups (which parallel phases do
-   perform) need no lock — a hashtable that nobody resizes is safe to
-   read concurrently. *)
-module Sharded : sig
-  include STORE
-
-  val create : shards:int -> t
-end = struct
-  type t = { tables : (oid, obj) Hashtbl.t array; locks : Mutex.t array }
-
-  let create ~shards =
-    if shards < 1 then invalid_arg "Store.Sharded.create: shards must be >= 1";
-    {
-      tables = Array.init shards (fun _ -> Hashtbl.create 64);
-      locks = Array.init shards (fun _ -> Mutex.create ());
-    }
-
-  let shards t = Array.length t.tables
-  let shard_of t oid = oid mod Array.length t.tables
-
-  let locked t i f =
-    Mutex.lock t.locks.(i);
-    f t.tables.(i);
-    Mutex.unlock t.locks.(i)
-
-  let add t o = locked t (shard_of t o.o_id) (fun tbl -> Hashtbl.add tbl o.o_id o)
-  let find t oid = Hashtbl.find_opt t.tables.(shard_of t oid) oid
-  let mem t oid = Hashtbl.mem t.tables.(shard_of t oid) oid
-  let remove t oid = locked t (shard_of t oid) (fun tbl -> Hashtbl.remove tbl oid)
-  let reset t = Array.iteri (fun i _ -> locked t i Hashtbl.reset) t.tables
-
-  let cardinal t =
-    Array.fold_left (fun acc tbl -> acc + Hashtbl.length tbl) 0 t.tables
-
-  (* shard-index order, hash order within a shard: as unordered as the
-     single hashtable — every enumeration the layers above expose sorts
-     (see the ordering contract in store.mli) *)
-  let iter f t = Array.iter (Hashtbl.iter (fun _ o -> f o)) t.tables
-
-  let fold f t init =
-    Array.fold_left
-      (fun acc tbl -> Hashtbl.fold (fun _ o acc -> f o acc) tbl acc)
-      init t.tables
-end
-
-(* ------------------------------------------------------------------ *)
-(* Backend selection                                                   *)
-(* ------------------------------------------------------------------ *)
-
-type spec = [ `Heap | `Sharded of int ]
-
-let default_shards = 8
-
-(* CI forces the sharded backend across the whole suite with
-   ODE_STORE_BACKEND=sharded (optionally sharded:<n>), so both backends
-   stay green on every PR without duplicating the tests. *)
-let default_spec () : spec =
-  match Sys.getenv_opt "ODE_STORE_BACKEND" with
-  | None | Some "" | Some "heap" -> `Heap
-  | Some "sharded" -> `Sharded default_shards
-  | Some s -> (
-    match String.index_opt s ':' with
-    | Some i
-      when String.sub s 0 i = "sharded" -> (
-      match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
-      | Some n when n >= 1 -> `Sharded n
-      | Some _ | None ->
-        ode_error "ODE_STORE_BACKEND: bad shard count in %S" s)
-    | Some _ | None -> ode_error "ODE_STORE_BACKEND: unknown backend %S" s)
-
-let pack (type a) (module S : STORE with type t = a) (t : a) ~name =
-  {
-    sb_name = name;
-    sb_shards = S.shards t;
-    sb_shard_of = (fun oid -> S.shard_of t oid);
-    sb_add = (fun o -> S.add t o);
-    sb_find = (fun oid -> S.find t oid);
-    sb_mem = (fun oid -> S.mem t oid);
-    sb_remove = (fun oid -> S.remove t oid);
-    sb_reset = (fun () -> S.reset t);
-    sb_cardinal = (fun () -> S.cardinal t);
-    sb_iter = (fun f -> S.iter f t);
-    sb_fold = (fun f init -> S.fold f t init);
-  }
-
-let backend_of (spec : spec) =
-  match spec with
-  | `Heap -> pack (module Heap) (Heap.create ()) ~name:"heap"
-  | `Sharded n ->
-    if n < 1 then ode_error "sharded backend needs >= 1 shard";
-    pack (module Sharded) (Sharded.create ~shards:n)
-      ~name:(Printf.sprintf "sharded:%d" n)
-
-let backend_name db = db.store.backend.sb_name
-let shards db = db.store.backend.sb_shards
-let shard_of db oid = db.store.backend.sb_shard_of oid
-
-(* ------------------------------------------------------------------ *)
-(* Partition lanes                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The engine's batch pipeline parallelises over {e lanes}: one lane
-   per (partition member, member shard) pair, so a lane task touches
-   exactly one member's slice of one shard — the same no-shared-state
-   guarantee the single-engine pipeline gets from shards alone. For an
-   unpartitioned db a lane {e is} a shard, so the single-engine queue
-   layout (and with it every equivalence baseline) is unchanged. *)
-
-let lanes db = Types.n_partitions db * shards db
-
-let lane_of db oid =
-  match db.part with
-  | None -> shard_of db oid
-  | Some p ->
-    let k = oid mod Array.length p.p_members in
-    let m = p.p_members.(k) in
-    (k * m.store.backend.sb_shards) + m.store.backend.sb_shard_of oid
-
-let member_of_lane db lane =
-  match db.part with
-  | None -> db
-  | Some p -> p.p_members.(lane / db.store.backend.sb_shards)
+(* The partition members in owner order, [[| db |]] when unpartitioned:
+   what group-wide walks iterate. *)
+let members db = match db.part with Some p -> p.p_members | None -> [| db |]
 
 (* ------------------------------------------------------------------ *)
 (* Heap operations on the database                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oid allocation is one counter: with [shard_of oid = oid mod n] a
-   monotonically increasing oid stream round-robins the shards, so the
-   partition stays balanced without per-shard counters. Allocation only
-   happens in the sequential phases of the pipeline (object creation is
-   never parallelised), so the counter needs no synchronisation. *)
+(* Oid allocation is one counter: with [owner_db] routing by
+   [oid mod n], a monotonically increasing oid stream round-robins the
+   partition members, keeping them balanced without per-member
+   counters. *)
 let alloc_oid db =
   match db.part with
   | None ->
@@ -216,16 +52,14 @@ let new_obj k oid =
 
 (* Activations of flat-table detectors on heap objects keep their
    automaton state vector — one word per level, one word total for
-   mask-free expressions — in a per-shard block shared by all
-   activations of the same detector — the paper's "one integer per
-   active trigger per object", laid out so [post_many]'s step phase
-   sweeps a contiguous int array. Slot allocation and release only
-   happen in sequential pipeline phases (activation, undo, object
-   removal). *)
+   mask-free expressions — in a block shared by all activations of the
+   same detector — the paper's "one integer per active trigger per
+   object", laid out so [post_many]'s step loop sweeps a contiguous int
+   array. Slots are allocated at activation and released at undo and
+   object removal. *)
 
 let soa_slot db oid (det : Ode_event.Detector.t) =
-  let db = Types.owner_db db oid in
-  let tbl = db.store.soa.(shard_of db oid) in
+  let tbl = (Types.owner_db db oid).store.soa in
   let w = Ode_event.Detector.n_state_words det in
   let blk =
     match Hashtbl.find_opt tbl det.uid with
@@ -257,7 +91,7 @@ let soa_slot db oid (det : Ode_event.Detector.t) =
   S_slot (blk, slot)
 
 (* Fresh detection state for an activation of [det] on object [oid]:
-   packed into the shard's SoA block when the detector qualifies, a
+   packed into the owning heap's SoA block when the detector qualifies, a
    private word vector otherwise. *)
 let fresh_at_state db oid (det : Ode_event.Detector.t) =
   if Ode_event.Detector.has_flat det then soa_slot db oid det
@@ -276,17 +110,17 @@ let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_at_state at) obj.o_trigg
    the oid's owning member first, so per-member counts stay exact. *)
 let add_obj db obj =
   let db = Types.owner_db db obj.o_id in
-  db.store.backend.sb_add obj;
+  Hashtbl.add db.store.heap obj.o_id obj;
   if not obj.o_deleted then db.store.n_live <- db.store.n_live + 1
 
 let remove_obj db oid =
   let db = Types.owner_db db oid in
-  match db.store.backend.sb_find oid with
+  match Hashtbl.find_opt db.store.heap oid with
   | None -> ()
   | Some o ->
     if not o.o_deleted then db.store.n_live <- db.store.n_live - 1;
     free_obj_slots o;
-    db.store.backend.sb_remove oid
+    Hashtbl.remove db.store.heap oid
 
 let mark_deleted db obj =
   if not obj.o_deleted then begin
@@ -305,21 +139,18 @@ let unmark_deleted db obj =
 (* Member-local on purpose: [Persist.load_image] resets one member's
    slice before reinstalling it; group-wide resets walk the members. *)
 let reset_heap db =
-  db.store.backend.sb_reset ();
-  Array.iter Hashtbl.reset db.store.soa;
+  Hashtbl.reset db.store.heap;
+  Hashtbl.reset db.store.soa;
   db.store.n_live <- 0
 
-let find_obj db oid = (Types.owner_db db oid).store.backend.sb_find oid
-let mem db oid = (Types.owner_db db oid).store.backend.sb_mem oid
+let find_obj db oid = Hashtbl.find_opt (Types.owner_db db oid).store.heap oid
+let mem db oid = Hashtbl.mem (Types.owner_db db oid).store.heap oid
 
 let cardinal ?(live = false) db =
-  match db.part with
-  | None -> if live then db.store.n_live else db.store.backend.sb_cardinal ()
-  | Some p ->
-    Array.fold_left
-      (fun acc m ->
-        acc + if live then m.store.n_live else m.store.backend.sb_cardinal ())
-      0 p.p_members
+  Array.fold_left
+    (fun acc m ->
+      acc + if live then m.store.n_live else Hashtbl.length m.store.heap)
+    0 (members db)
 
 let live_obj db oid =
   match find_obj db oid with
@@ -337,20 +168,20 @@ let exists db oid =
 
 let class_of db oid = (live_obj db oid).o_class.k_name
 
-(* Raw backend enumeration is deliberately {e member-local}: a
-   partition member's WAL checkpoints snapshot only its own slice.
-   Group-wide listings ([objects], [objects_of_class], [stats]) walk
-   [members] explicitly; the merged-image writer in [Persist] does its
-   own oid-order merge of the member slices. *)
-let fold_objects f db init = db.store.backend.sb_fold f init
-let iter_objects f db = db.store.backend.sb_iter f
-let members db = match db.part with Some p -> p.p_members | None -> [| db |]
+(* Raw heap enumeration is deliberately {e member-local}: a partition
+   member's WAL checkpoints snapshot only its own slice. Group-wide
+   listings ([objects], [objects_of_class], [stats]) walk [members]
+   explicitly; the merged-image writer in [Persist] does its own
+   oid-order merge of the member slices. *)
+let fold_objects f db init =
+  Hashtbl.fold (fun _ o acc -> f o acc) db.store.heap init
 
-(* Enumeration contract: ascending oid, whatever the backend's internal
-   order. Folding a hashtable (or a shard array of them) enumerates in
-   hash order, which must never leak — commit/abort fan-out and persist
-   snapshots would otherwise depend on the backend (or on the partition
-   count). *)
+let iter_objects f db = Hashtbl.iter (fun _ o -> f o) db.store.heap
+
+(* Enumeration contract: ascending oid. Folding a hashtable enumerates
+   in hash order, which must never leak — commit/abort fan-out and
+   persist snapshots would otherwise depend on the table's history (or
+   on the partition count). *)
 let objects db =
   Array.fold_left
     (fun acc m ->
@@ -401,8 +232,8 @@ let mask_env db obj : Mask.env =
 
 (* A reusable posting-kernel scratch: same bindings as {!mask_env}, but
    the object is indirected through a ref cell so one environment (and
-   its three closures) serves every post handled by a shard instead of
-   being rebuilt — and reallocated — per event. *)
+   its three closures) serves every post instead of being rebuilt — and
+   reallocated — per event. *)
 let make_scratch db =
   let sc_obj = ref None in
   let sc_env : Mask.env =

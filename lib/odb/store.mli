@@ -1,112 +1,22 @@
 (** Store layer: the object heap — oid allocation, live-object lookup,
     field access, per-object activations and event histories.
 
-    All heap traffic goes through the {!STORE} backend signature:
-    {!Heap} is the single-hashtable backend, {!Sharded} partitions the
-    heap into N hashtables by oid hash so the engine's batch pipeline
-    can step automata one-domain-per-shard. Either is packed into the
-    abstract {!Types.store_backend} operations record at
-    [Database.create_db ?backend]; the layers above never see the
-    concrete representation. Depends on {!Types} (and reads the schema
-    tables for mask environments); knows nothing about transactions or
-    event posting.
+    The heap is one [(oid, obj) Hashtbl.t] per database ({!Types.store_state});
+    in a partitioned database each member holds the slice of oids
+    {!Types.owner_db} routes to it. Depends on {!Types} (and reads the
+    schema tables for mask environments); knows nothing about
+    transactions or event posting.
 
-    {b Ordering contract.} Backends enumerate in {e unspecified} order
-    (hash order, shard-by-shard for {!Sharded}). Every enumeration this
-    layer exposes — {!objects}, {!objects_of_class}, {!live_objects} —
-    therefore sorts to {e ascending oid} before returning, so commit and
-    abort fan-out, persist snapshots and user-visible listings are
-    bit-identical across backends. Code that folds the raw backend
+    {b Ordering contract.} The hashtable enumerates in {e unspecified}
+    (hash) order. Every enumeration this layer exposes — {!objects},
+    {!objects_of_class}, {!live_objects} — therefore sorts to
+    {e ascending oid} before returning, so commit and abort fan-out,
+    persist snapshots and user-visible listings do not depend on the
+    table's history or the partition count. Code that folds the raw heap
     directly must either be order-insensitive or sort likewise. *)
 
 module Value = Ode_base.Value
 open Types
-
-(** {1 Backend signature} *)
-
-module type STORE = sig
-  type t
-
-  val add : t -> obj -> unit
-  val find : t -> oid -> obj option
-
-  val mem : t -> oid -> bool
-  (** An object with this oid is stored (live or delete-marked). *)
-
-  val remove : t -> oid -> unit
-  val reset : t -> unit
-
-  val cardinal : t -> int
-  (** Number of stored objects, delete-marked included — O(1) (or
-      O(shards)), never a scan. *)
-
-  val iter : (obj -> unit) -> t -> unit
-  val fold : (obj -> 'a -> 'a) -> t -> 'a -> 'a
-
-  val shards : t -> int
-  (** The partition width the engine may parallelise over (1 for
-      unpartitioned backends). *)
-
-  val shard_of : t -> oid -> int
-  (** Which shard holds this oid; constant for an object's lifetime. *)
-end
-
-module Heap : sig
-  include STORE with type t = (oid, obj) Hashtbl.t
-
-  val create : unit -> t
-end
-
-module Sharded : sig
-  include STORE
-
-  val create : shards:int -> t
-  (** [shards] hashtables partitioned by [oid mod shards], one mutex
-      per shard guarding structural mutation. Lookups are lock-free:
-      the engine only mutates the tables from sequential pipeline
-      phases. *)
-end
-
-(** {1 Backend selection} *)
-
-type spec = [ `Heap | `Sharded of int ]
-(** What [Database.create_db ?backend] accepts; [`Sharded n] is the
-    shard count. *)
-
-val default_shards : int
-
-val default_spec : unit -> spec
-(** [`Heap], unless the [ODE_STORE_BACKEND] environment variable forces
-    [sharded] / [sharded:<n>] / [heap] (how CI runs the whole suite on
-    the sharded backend). Raises {!Types.Ode_error} on an unparsable
-    value. *)
-
-val backend_of : spec -> store_backend
-(** Instantiate a backend and pack it into the abstract operations
-    record the knot holds. *)
-
-val backend_name : db -> string
-(** ["heap"] or ["sharded:<n>"]. *)
-
-val shards : db -> int
-val shard_of : db -> oid -> int
-
-(** {1 Partition lanes}
-
-    An oid-partitioned engine group ([Engine_group]) gives the batch
-    pipeline one {e lane} per (member, member-shard) pair; a lane task
-    touches exactly one member's slice of one shard. Unpartitioned, a
-    lane is a shard and all three collapse to the plain accessors. *)
-
-val lanes : db -> int
-(** [n_partitions * shards] parallelisable slices. *)
-
-val lane_of : db -> oid -> int
-(** Which lane steps this oid's automata; constant for an object's
-    lifetime ([owner * shards + owner's shard]). *)
-
-val member_of_lane : db -> int -> db
-(** The partition member whose store slice backs a lane. *)
 
 val members : db -> db array
 (** The partition members in owner order, [[| db |]] when
@@ -115,9 +25,8 @@ val members : db -> db array
 (** {1 Heap operations} *)
 
 val alloc_oid : db -> oid
-(** One monotone counter: with [shard_of oid = oid mod n] the oid
-    stream round-robins the shards, keeping the partition balanced
-    without per-shard counters. Sequential-phase only. *)
+(** One monotone counter, group-wide when partitioned: the oid stream
+    round-robins the members ([oid mod n]). *)
 
 val new_obj : klass -> oid -> obj
 (** Fresh object record with the class's field defaults installed. Does
@@ -126,11 +35,11 @@ val new_obj : klass -> oid -> obj
 (** {1 Detection-state blocks}
 
     Activations of flat-table detectors pack their automaton state into
-    a per-shard structure-of-arrays block keyed by detector uid, strided
-    by the detector's state width (one word per automaton level) — the
-    paper's "one integer per active trigger per object", generalised to
-    a small fixed vector for composite-mask hierarchies. Allocation and
-    release happen only in sequential pipeline phases. *)
+    a structure-of-arrays block of the owning heap, keyed by detector
+    uid, strided by the detector's state width (one word per automaton
+    level) — the paper's "one integer per active trigger per object",
+    generalised to a small fixed vector for composite-mask
+    hierarchies. *)
 
 val fresh_at_state : db -> oid -> Ode_event.Detector.t -> trig_state
 (** Fresh initial detection state for an activation of this detector on
@@ -178,15 +87,15 @@ val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
 val live_objects : db -> obj list
-(** Live objects sorted by ascending oid — the backend-neutral
+(** This member's live objects sorted by ascending oid — the
     enumeration persist snapshots are built from. *)
 
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
-(** Raw backend fold, {e unspecified order}; for order-insensitive
-    accumulation only. *)
+(** Raw fold over this member's heap, {e unspecified order}; for
+    order-insensitive accumulation only. *)
 
 val iter_objects : (obj -> unit) -> db -> unit
-(** Raw backend iteration, {e unspecified order}. *)
+(** Raw iteration over this member's heap, {e unspecified order}. *)
 
 val get_field : db -> oid -> string -> Value.t
 
@@ -202,8 +111,7 @@ val db_mask_env : db -> Ode_event.Mask.env
 val make_scratch : db -> scratch
 (** A reusable posting-kernel buffer: a {!mask_env}-equivalent
     environment reading fields through the scratch's [sc_obj] cell, plus
-    a grow-only classification-code buffer. The engine keeps one per
-    shard. *)
+    a grow-only classification-code buffer. The engine keeps one. *)
 
 (** {1 Event histories (§9)} *)
 

@@ -117,15 +117,6 @@ let apply_undo db entry =
       Store.free_at_state at;
       Hashtbl.remove obj.o_triggers name)
 
-(* Fold the per-shard undo segments a parallel classify/step phase
-   produced into the transaction's log. Entries within one segment are
-   newest-first already; segments touch disjoint objects (the pipeline
-   partitions by shard), so their relative order is semantically free —
-   we fix it to ascending shard index for determinism across domain
-   counts. Runs on the orchestrating thread, after the phase joins. *)
-let merge_undo_segments tx segments =
-  tx.tx_undo <- List.concat segments @ tx.tx_undo
-
 (* ------------------------------------------------------------------ *)
 (* Abort and commit                                                    *)
 (* ------------------------------------------------------------------ *)

@@ -51,16 +51,6 @@ val release_locks : db -> txn -> unit
 val detach : db -> txn -> unit
 val apply_undo : db -> undo_entry -> unit
 
-val merge_undo_segments : txn -> undo_entry list list -> unit
-(** Merge the per-shard undo segments accumulated by a parallel
-    classify/step phase ([Engine.post_many]) into [tx_undo]. Each
-    segment is newest-first; segments are concatenated in the order
-    given (ascending shard index), which is semantically free — they
-    touch disjoint objects — and fixed for determinism. Must be called
-    from the sequential orchestrator, after the parallel phase joins and
-    {e before} anything can abort the transaction, so a rollback always
-    sees the complete log. *)
-
 (** {1 Commit and abort} *)
 
 val abort : db -> txn -> unit

@@ -66,25 +66,19 @@ and schema_state = {
          definitions whose alphabet can react, in declaration order *)
 }
 
-(* [Store]: the object heap, held abstractly as a record of backend
-   operations so that the layers above never see the concrete
-   representation. [Store] provides the two implementations behind its
-   [STORE] signature — the single-hashtable [Heap] and the oid-hash
-   partitioned [Sharded] — and packs either into this record at
-   [create_db ?backend]. *)
+(* [Store]: the object heap. One hashtable per database (per partition
+   member: each member owns the slice of oids it is routed). *)
 and store_state = {
-  backend : store_backend;
+  heap : (oid, obj) Hashtbl.t;  (* stored objects, delete-marked included *)
   mutable next_oid : int;
   mutable n_live : int;  (* stored objects with [o_deleted = false] *)
   mutable history_limit : int;  (* 0 = recording off *)
-  soa : (int, soa_block) Hashtbl.t array;
-      (* per shard: detector uid -> the structure-of-arrays block packing
-         the fixed-width automaton state vectors of every activation of
-         that detector on objects of the shard (paper §5: "one integer
-         per active trigger per object", one per level for hierarchical
-         automata). Only sequential pipeline phases allocate or free
-         slots; the parallel step phase of [post_many] only touches
-         blocks of its own shard. *)
+  soa : (int, soa_block) Hashtbl.t;
+      (* detector uid -> the structure-of-arrays block packing the
+         fixed-width automaton state vectors of every activation of that
+         detector on this heap's objects (paper §5: "one integer per
+         active trigger per object", one per level for hierarchical
+         automata) *)
 }
 
 (* One packed state block: slot [i] of an activation occupies the
@@ -97,28 +91,6 @@ and soa_block = {
   mutable blk_state : int array;
   mutable blk_n : int;  (* high-water slot count *)
   mutable blk_free : int list;
-}
-
-(* First-class backend operations. [sb_shards]/[sb_shard_of] expose the
-   partitioning so the engine's batch pipeline can fan the classify/step
-   phase out one-domain-per-shard (no two domains ever touch one
-   object's detection state); the [Heap] backend reports one shard.
-   Mutating operations ([sb_add]/[sb_remove]/[sb_reset]) may only be
-   called from the sequential phases of the pipeline; lookups are safe
-   from parallel phases because those phases never mutate the table
-   itself. *)
-and store_backend = {
-  sb_name : string;  (* "heap" or "sharded:<n>" *)
-  sb_shards : int;
-  sb_shard_of : oid -> int;
-  sb_add : obj -> unit;
-  sb_find : oid -> obj option;
-  sb_mem : oid -> bool;
-  sb_remove : oid -> unit;
-  sb_reset : unit -> unit;
-  sb_cardinal : unit -> int;  (* stored objects, deleted included *)
-  sb_iter : (obj -> unit) -> unit;
-  sb_fold : 'a. (obj -> 'a -> 'a) -> 'a -> 'a;
 }
 
 (* [Txn]: transaction bookkeeping. *)
@@ -138,49 +110,26 @@ and engine_state = {
   mutable subscribers : subscription list;
       (* firing subscribers in subscription order *)
   mutable next_sub_id : int;
-  mutable post_domains : int;
-      (* default parallelism of [post_many]'s classify/step phase *)
-  mutable clamp_domains : bool;
-      (* clamp the effective parallelism to
-         [Domain.recommended_domain_count ()] (default true): requesting
-         more domains than the box has cores buys only contention.
-         [ODE_POST_DOMAINS] turns this off — an explicit test override
-         must exercise the parallel machinery even on a 1-core box. *)
-  mutable parallel_threshold : int;
-      (* batches smaller than this run the step phase inline on the
-         caller: below one shard's worth of events the pool barrier
-         costs more than it buys *)
-  mutable pool : Pool.t option;
-      (* lazily created domain pool backing [post_many]; sized
-         [post_domains] (or the call's [?domains]) and rebuilt when that
-         changes. [Engine.shutdown_pool] releases the domains. *)
-  mutable q_items : int array;
-      (* reusable per-shard event queues, rebuilt each batch by a
-         counting sort in phase 0: item indices grouped by shard, so a
-         shard task walks only its own events — one int per event, no
-         closures *)
-  mutable q_off : int array;
-      (* shard s owns [q_items.(q_off.(s) .. q_off.(s+1) - 1)] *)
-  mutable q_cur : int array;  (* counting-sort fill cursors *)
   mutable stepper :
-    (db -> undo:undo_entry list ref -> obj -> Symbol.occurrence ->
-     active_trigger list)
+    (db -> undo:undo_entry list ref -> (obj * Symbol.occurrence) array ->
+     active_trigger list array)
     option;
       (* [None] — always, outside the equivalence tests — runs the
          compiled kernel. The test seam [Engine.set_stepper] installs a
-         reference classify/step function here instead. *)
-  mutable scratch : scratch array;
-      (* per-shard reusable classify/step buffers, built lazily by
-         [Engine]; the sequential [post] path uses the posted object's
-         shard's scratch, [post_many]'s step tasks each own their
-         shard's — never two users at once *)
+         reference classify/step function here instead; it steps a whole
+         batch with its own loop (one item for [post]), so the kernel's
+         batch loop is checked against it too. *)
+  mutable scratch : scratch option;
+      (* the reusable classify/step buffer, built lazily by [Engine] and
+         shared by [post] and [post_many] (one partition group shares
+         one engine record, hence one scratch) *)
   kind_names : (Symbol.basic, string) Hashtbl.t;
       (* memoized pretty-printed basic-event keys for the observability
          probes ([Format.asprintf] per post would dominate the enabled
          cost); written only from the sequential posting phases *)
 }
 
-(* Reusable per-shard posting buffers: a mask environment whose field
+(* Reusable posting buffers: a mask environment whose field
    reads resolve against whatever object [sc_obj] currently holds, and a
    grow-only classification-code buffer (one packed code per distinct
    detector of the candidate row). This is what makes the steady-state
@@ -195,7 +144,7 @@ and scratch = {
   mutable sc_slot_steps : int;
   mutable sc_word_steps : int;
       (* counter accumulators, flushed to the registry once per post
-         phase (per shard task under [post_many]) instead of per
+         phase (once per batch under [post_many]) instead of per
          candidate — the atomics stay exact, off the inner loop. The
          slot/word split is the kernel-coverage breakdown: transitions
          taken through the flat-table SoA path vs the boxed
@@ -256,7 +205,7 @@ and tnode = {
 }
 
 (* [Durability]: the persistence strategy, held abstractly as a record
-   of backend operations — the same inversion as [store_backend].
+   of backend operations.
    [Persist] packs the full-image ODE1 codec, [Wal] the write-ahead-log
    backend; [Database.create_db ?durability] resolves the choice. The
    default installed by [make_db] is a no-op: raw-layer users (tests,
@@ -356,7 +305,7 @@ and active_trigger = {
 (* Where an activation's automaton state lives. Detectors whose whole
    level stack carries flat transition tables ([Detector.has_flat] —
    all compilable expressions in practice) pack their fixed state
-   vector into the per-shard SoA blocks; everything else — automata
+   vector into the heap's SoA blocks; everything else — automata
    past the flat-cell budget, database-scope activations — keeps its
    own word vector. *)
 and trig_state =
@@ -445,11 +394,6 @@ exception Ode_error of string
 
 let ode_error fmt = Format.kasprintf (fun s -> raise (Ode_error s)) fmt
 
-(* The composition root: every layer's state record, initialized empty.
-   Lives here because only the knot module sees all the sub-records. The
-   backend is passed in ready-made — [Store] owns the implementations and
-   [Database.create_db] resolves the [?backend] argument through it, so
-   the knot stays free of representation choices. *)
 (* The durability backend installed when nobody chose one: emission is
    free, and save/load point the caller at [Database.create_db
    ?durability] (raw [make_db] users drive [Persist] directly). *)
@@ -485,7 +429,19 @@ let make_wheel () =
     tw_index = Hashtbl.create 64;
   }
 
-let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
+(* An empty heap slice; [Engine_group] builds one per partition member. *)
+let make_store ~next_oid =
+  {
+    heap = Hashtbl.create 64;
+    next_oid;
+    n_live = 0;
+    history_limit = 0;
+    soa = Hashtbl.create 8;
+  }
+
+(* The composition root: every layer's state record, initialized empty.
+   Lives here because only the knot module sees all the sub-records. *)
+let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
     ?(trace_capacity = 1024) ?(durability = noop_durability) () =
   if max_tcomplete_rounds < 1 then
     ode_error "max_tcomplete_rounds must be >= 1";
@@ -498,14 +454,7 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_trigger_defs = Hashtbl.create 4;
           db_dispatch = Hashtbl.create 8;
         };
-      store =
-        {
-          backend;
-          next_oid = 1;
-          n_live = 0;
-          history_limit = 0;
-          soa = Array.init backend.sb_shards (fun _ -> Hashtbl.create 8);
-        };
+      store = make_store ~next_oid:1;
       txns =
         {
           next_txn_id = 1;
@@ -519,15 +468,8 @@ let make_db ~backend ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_triggers = Hashtbl.create 4;
           subscribers = [];
           next_sub_id = 1;
-          post_domains = 1;
-          clamp_domains = true;
-          parallel_threshold = 32;
-          pool = None;
-          q_items = [||];
-          q_off = [||];
-          q_cur = [||];
           stepper = None;
-          scratch = [||];
+          scratch = None;
           kind_names = Hashtbl.create 16;
         };
       wheel =

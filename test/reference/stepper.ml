@@ -128,5 +128,11 @@ let step mode db ~undo obj (occurrence : Symbol.occurrence) =
         else None)
       classified
 
-let install db mode = Engine.set_stepper db (Some (step mode))
+(* The batch loop is the stepper's own, independent of [post_many]'s. *)
+let install db mode =
+  Engine.set_stepper db
+    (Some
+       (fun db ~undo items ->
+         Array.map (fun (obj, occurrence) -> step mode db ~undo obj occurrence)
+           items))
 let uninstall db = Engine.set_stepper db None

@@ -28,7 +28,8 @@ val step :
 val install : Ode_odb.Types.db -> mode -> unit
 (** Route the database's object-scope posts ([post], [post_many],
     commit and time-event fan-outs) through {!step} via
-    [Engine.set_stepper]. *)
+    [Engine.set_stepper], stepping each batch item by item in batch
+    order. *)
 
 val uninstall : Ode_odb.Types.db -> unit
 (** Restore the compiled kernel. *)

@@ -39,7 +39,7 @@ let test_kernel_allocations () =
   | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
   | Sys.Native ->
     (* raw-layer db: [Engine.post] needs the concrete [obj] *)
-    let db = Types.make_db ~backend:(Store.backend_of (Store.default_spec ())) () in
+    let db = Types.make_db () in
     let b = Schema.define_class "c" in
     let b = Schema.field b "x" (Value.Int 0) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in
@@ -102,7 +102,7 @@ let test_multi_level_allocations () =
   match Sys.backend_type with
   | Sys.Bytecode | Sys.Other _ -> () (* native-only guard *)
   | Sys.Native ->
-    let db = Types.make_db ~backend:(Store.backend_of (Store.default_spec ())) () in
+    let db = Types.make_db () in
     let b = Schema.define_class "c" in
     let b = Schema.field b "cm0" (Value.Bool true) in
     let b = Schema.method_ b ~kind:Types.Read_only "ping" (fun _ _ _ -> Value.Unit) in

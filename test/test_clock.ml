@@ -112,6 +112,49 @@ let test_minute_pattern () =
     (Some (ms (Clock.civil ~hr:10 ~min:30 1992 6 2)))
     (Clock.next_match p ~after:(ms (Clock.civil ~hr:9 ~min:30 1992 6 2)))
 
+(* The two patterns the day-walking search handled badly: a pinned-ms
+   pattern (86,400 time-of-day candidates per day, rebuilt per
+   candidate) and a date more than ten years past the 1970 clock
+   origin of a default database, which it never reached. *)
+let test_dated_patterns () =
+  let p = pat ~ms:500 () in
+  Alcotest.(check (option int64))
+    "MS=500: the next second's 500th ms"
+    (Some (ms (Clock.civil ~hr:9 ~sec:1 ~ms:500 1992 6 2)))
+    (Clock.next_match p ~after:(ms (Clock.civil ~hr:9 ~ms:700 1992 6 2)));
+  Alcotest.(check (option int64))
+    "MS=500: same second when still ahead"
+    (Some (ms (Clock.civil ~hr:9 ~ms:500 1992 6 2)))
+    (Clock.next_match p ~after:(ms (Clock.civil ~hr:9 ~ms:499 1992 6 2)));
+  Alcotest.(check (option int64))
+    "MS=500: carries over midnight and the year"
+    (Some (ms (Clock.civil ~ms:500 1993 1 1)))
+    (Clock.next_match p
+       ~after:(ms (Clock.civil ~hr:23 ~min:59 ~sec:59 ~ms:600 1992 12 31)));
+  let d = pat ~year:1992 ~mon:6 ~day:2 () in
+  Alcotest.(check (option int64))
+    "YR=1992, MON=6, DAY=2 from the 1970 origin"
+    (Some (ms (Clock.civil 1992 6 2)))
+    (Clock.next_match d ~after:0L);
+  (* end to end: the timer arms on a default database and fires *)
+  let module D = Database in
+  let db = D.create_db () in
+  let fired = ref [] in
+  let b = D.define_class "c" in
+  let b =
+    D.trigger_str b "paper" ~event:"at time(YR=1992, MON=6, DAY=2)"
+      ~action:(fun db _ -> fired := D.now db :: !fired)
+  in
+  D.register_class db b;
+  (match
+     D.with_txn db (fun _ -> D.activate db (D.create db "c" []) "paper" [])
+   with
+  | Ok () -> ()
+  | Error `Aborted -> Alcotest.fail "setup transaction aborted");
+  Alcotest.(check int) "timer armed" 1 (D.stats db).D.n_timers;
+  D.advance_to db (ms (Clock.civil 1992 6 3));
+  Alcotest.(check (list int64)) "fired on the date" [ ms (Clock.civil 1992 6 2) ] !fired
+
 let next_match_is_match =
   QCheck.Test.make ~count:200 ~name:"next_match yields a matching instant"
     (QCheck.make
@@ -128,6 +171,51 @@ let next_match_is_match =
       | None -> hr = None && min = None && day = None
       | Some t -> t > after && Clock.matches p t)
 
+(* Random patterns against the day-walking model: [after] values sit
+   next to day, month, year and leap-day boundaries, patterns mix pinned
+   and free fields (within range). Wherever the model finds an instant
+   the field-by-field search must return the same one, and every
+   instant it returns must match. *)
+let gen_pattern_case =
+  let open QCheck.Gen in
+  let opt p g = frequency [ (p, map Option.some g); (10 - p, return None) ] in
+  let* year = opt 2 (int_range 1995 2001) in
+  let* mon = opt 4 (int_range 1 12) in
+  let* day = opt 4 (oneof [ int_range 1 31; int_range 28 31 ]) in
+  let* hr = opt 4 (int_bound 23) in
+  let* min = opt 4 (oneof [ int_bound 59; return 59; return 0 ]) in
+  let* sec = opt 4 (oneof [ int_bound 59; return 59; return 0 ]) in
+  let* msf = opt 5 (oneof [ int_bound 999; return 999; return 0 ]) in
+  let* y = int_range 1995 2001 in
+  let* m = int_range 1 12 in
+  let* d =
+    oneof [ int_range 1 (Clock.days_in_month y m); return (Clock.days_in_month y m) ]
+  in
+  let* edge = bool in
+  let* h = if edge then return 23 else int_bound 23 in
+  let* mi = if edge then return 59 else int_bound 59 in
+  let* se = if edge then return 59 else int_bound 59 in
+  let* mss = if edge then int_range 990 999 else int_bound 999 in
+  let after = ms (Clock.civil ~hr:h ~min:mi ~sec:se ~ms:mss y m d) in
+  return ({ Symbol.year; mon; day; hr; min; sec; ms = msf }, after)
+
+let print_pattern_case ((p : Symbol.time_pattern), after) =
+  let f name = function None -> "" | Some v -> Printf.sprintf "%s=%d " name v in
+  Fmt.str "time(%s%s%s%s%s%s%s) after %a" (f "YR" p.year) (f "MON" p.mon)
+    (f "DAY" p.day) (f "HR" p.hr) (f "M" p.min) (f "SEC" p.sec) (f "MS" p.ms)
+    Clock.pp_ms after
+
+let next_match_equals_model =
+  QCheck.Test.make ~count:500 ~name:"next_match = day-walking model"
+    (QCheck.make ~print:print_pattern_case gen_pattern_case)
+    (fun (p, after) ->
+      let got = Clock.next_match p ~after in
+      (match got with None -> true | Some r -> r > after && Clock.matches p r)
+      &&
+      match Ode_reference.Clock_model.next_match p ~after with
+      | Some expected -> got = Some expected
+      | None -> true)
+
 let suite =
   [
     Alcotest.test_case "civil round-trip" `Quick test_roundtrip;
@@ -140,5 +228,6 @@ let suite =
     Alcotest.test_case "matches" `Quick test_matches;
     Alcotest.test_case "yearly and leap-day patterns" `Quick test_yearly_and_monthly;
     Alcotest.test_case "minute pattern" `Quick test_minute_pattern;
+    Alcotest.test_case "dated patterns" `Quick test_dated_patterns;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ next_match_is_match ]
+  @ List.map QCheck_alcotest.to_alcotest [ next_match_is_match; next_match_equals_model ]

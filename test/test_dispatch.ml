@@ -231,7 +231,7 @@ let index_rows_complete =
            (fun (e, committed) ->
              compiles (e, false, committed, false) && compiles (e, false, false, false))
            triggers);
-      let db = Types.make_db ~backend:(Store.backend_of `Heap) () in
+      let db = Types.make_db () in
       let b =
         List.fold_left
           (fun b (i, (event, committed)) ->

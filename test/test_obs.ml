@@ -353,15 +353,17 @@ let test_unsubscribe_during_delivery () =
   Alcotest.(check int) "self-unsubscribed after one delivery" 1 !first;
   Alcotest.(check int) "later subscriber saw both" 2 !second
 
-(* Counters must stay {e exact} — not approximate — when [post_many]'s
-   classify/step phase runs on 4 domains (the step-phase emissions are
-   atomic, the kind table mutexed). 16 objects × 25 pings on a sharded
-   backend: every counter is pinned to its computed truth and must also
-   equal a 1-domain run of the identical batch bit for bit. *)
-let test_exact_counters_under_domains () =
-  let run domains =
-    let db = D.create_db ~backend:(`Sharded 8) () in
-    D.set_post_domains db domains;
+(* Counters must stay {e exact} — not approximate — through
+   [post_many]'s scratch accumulators, which batch the classify/step
+   counter bumps and flush them once per batch, on a single engine and
+   on a 3-member engine group sharing one registry. 16 objects × 25
+   pings: every counter is pinned to its computed truth, and the two
+   runs must agree bit for bit. *)
+let test_exact_counters_under_partitions () =
+  let run partitions =
+    let db =
+      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
+    in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
     let b =
@@ -386,32 +388,34 @@ let test_exact_counters_under_domains () =
     in
     let fired = ref 0 in
     expect_ok (D.with_txn db (fun _ -> fired := D.post_many db batch));
-    D.shutdown_pool db;
     let obs = D.observe db in
     ( !fired,
       List.map (fun c -> (Obs.counter_name c, Obs.get obs c)) Obs.all_counters,
       Obs.posts_by_kind obs )
   in
   let f1, c1, k1 = run 1 in
-  let f4, c4, k4 = run 4 in
-  Alcotest.(check int) "1-domain firings" 400 f1;
-  Alcotest.(check int) "4-domain firings" 400 f4;
+  let f3, c3, k3 = run 3 in
+  Alcotest.(check int) "1-partition firings" 400 f1;
+  Alcotest.(check int) "3-partition firings" 400 f3;
   let get name l = List.assoc name l in
   (* 400 pings + 16 each of tbegin / tcomplete / tcommit *)
-  Alcotest.(check int) "posts" 448 (get "posts" c4);
-  Alcotest.(check int) "classified" 400 (get "classified" c4);
-  Alcotest.(check int) "transitions" 400 (get "transitions" c4);
-  Alcotest.(check int) "firings counter" 400 (get "firings" c4);
-  Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c4);
+  List.iter
+    (fun c ->
+      Alcotest.(check int) "posts" 448 (get "posts" c);
+      Alcotest.(check int) "classified" 400 (get "classified" c);
+      Alcotest.(check int) "transitions" 400 (get "transitions" c);
+      Alcotest.(check int) "firings counter" 400 (get "firings" c);
+      Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c))
+    [ c1; c3 ];
   Alcotest.(check (list (pair string int)))
-    "counters identical across domain counts" c1 c4;
-  Alcotest.(check (list (pair string int))) "kind table identical" k1 k4
+    "counters identical across partition counts" c1 c3;
+  Alcotest.(check (list (pair string int))) "kind table identical" k1 k3
 
 let suite =
   [
     Alcotest.test_case "pinned pipeline counters" `Quick test_pinned_counters;
-    Alcotest.test_case "exact counters under 4 domains" `Quick
-      test_exact_counters_under_domains;
+    Alcotest.test_case "exact counters under partitions 1 and 3" `Quick
+      test_exact_counters_under_partitions;
     Alcotest.test_case "timing gate" `Quick test_timing_gate;
     Alcotest.test_case "scan-path counters" `Quick test_scan_path_counters;
     Alcotest.test_case "disabled = all zeros" `Quick test_disabled_counts_nothing;

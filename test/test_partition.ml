@@ -1,11 +1,12 @@
 (* Partition equivalence: an oid-sliced engine group must be observably
    identical to the single engine — same firings in the same order, same
    action log, same automaton states, same exact observability counters
-   and byte-identical ODE1 images — at any partition count, on both
-   store backends, under random schemas and random transaction scripts.
-   The generators and runners are shared with test_shard.ml: the same
-   workloads that pinned Heap = Sharded and 1 domain = 4 domains now pin
-   1 partition = 2 = 4.
+   and byte-identical ODE1 images — at any partition count, under
+   random schemas and random transaction scripts. The generators and
+   runners are shared with test_shard.ml: the same workloads pin
+   1 partition = 2 = 3 = 4, and the batch property also pins every count
+   to the reference stepper, whose batch loop is independent of
+   [post_many]'s.
 
    Directed tests cover what the properties cannot see from the facade:
    a cross-partition composite (a database-scope [sequence] whose
@@ -19,6 +20,7 @@
 open Ode_odb
 module D = Database
 module TS = Test_shard
+module Stepper = Ode_reference.Stepper
 module Value = Ode_base.Value
 module Symbol = Ode_event.Symbol
 
@@ -28,8 +30,8 @@ let expect_ok = function
 
 (* Directed tests pin the whole config (environment ignored) so they
    mean the same thing on every CI leg. *)
-let cfg ?(backend = `Heap) ?durability ~partitions () =
-  let c = { D.Config.default with D.Config.backend; partitions } in
+let cfg ?durability ~partitions () =
+  let c = { D.Config.default with D.Config.partitions } in
   match durability with
   | None -> c
   | Some d -> { c with D.Config.durability = d }
@@ -46,26 +48,23 @@ let fresh_dir () =
 
 let partitions_transparent =
   QCheck.Test.make ~count:30
-    ~name:"partitions 1 = 2 = 4 (firings, states, persist bytes)"
+    ~name:"partitions 1 = 2 = 3 = 4 (firings, states, persist bytes)"
     (QCheck.make ~print:TS.print_case TS.gen_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.triggers);
-      let p1 = TS.run ~partitions:1 ~backend:`Heap case in
-      p1 = TS.run ~partitions:2 ~backend:`Heap case
-      && p1 = TS.run ~partitions:4 ~backend:`Heap case
-      && p1 = TS.run ~partitions:2 ~backend:(`Sharded 3) case
-      && p1 = TS.run ~partitions:4 ~backend:(`Sharded 4) case)
+      let p1 = TS.run ~partitions:1 case in
+      List.for_all (fun partitions -> p1 = TS.run ~partitions case) [ 2; 3; 4 ])
 
 let post_many_partitions_equal =
   QCheck.Test.make ~count:30
-    ~name:"post_many: partitions 1 = 2 = 4 (exact counters, persist bytes)"
+    ~name:"post_many: partitions 1 = 2 = 3 = 4 = stepper (exact counters, persist bytes)"
     (QCheck.make ~print:TS.print_batch_case TS.gen_batch_case)
     (fun case ->
       QCheck.assume (List.for_all TS.compiles case.TS.btriggers);
-      let p1 = TS.run_batch ~partitions:1 ~backend:(`Sharded 4) ~domains:1 case in
-      p1 = TS.run_batch ~partitions:2 ~backend:(`Sharded 4) ~domains:1 case
-      && p1 = TS.run_batch ~partitions:4 ~backend:(`Sharded 4) ~domains:4 case
-      && p1 = TS.run_batch ~partitions:2 ~backend:`Heap ~domains:2 case)
+      let oracle = TS.run_batch ~stepper:Stepper.Index ~partitions:1 case in
+      List.for_all
+        (fun partitions -> oracle = TS.run_batch ~partitions case)
+        [ 1; 2; 3; 4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Cross-partition composites                                          *)
@@ -121,7 +120,7 @@ let test_cross_partition_sequence () =
 let test_cross_count_image () =
   let fired = ref 0 in
   let mk partitions =
-    let db = D.create_db ~config:(cfg ~backend:(`Sharded 4) ~partitions ()) () in
+    let db = D.create_db ~config:(cfg ~partitions ()) () in
     let b = D.define_class "c" in
     let b = D.method_ b ~kind:D.Read_only "f" (fun _ _ _ -> Value.Unit) in
     let b = D.method_ b ~kind:D.Updating "g" (fun _ _ _ -> Value.Unit) in
@@ -185,7 +184,7 @@ let test_wal_group_recover () =
     db
   in
   let wal_config =
-    cfg ~backend:(`Sharded 2) ~partitions:2
+    cfg ~partitions:2
       ~durability:
         (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
       ()

@@ -14,9 +14,9 @@ module D = struct
      snap-<g>.ode1 / wal-<g>.log at the directory root and cuts the log
      by hand), so pin partitions = 1 whatever ODE_PARTITIONS says —
      the partitioned WAL layout is covered by test_partition.ml *)
-  let create_db ?backend ?durability () =
+  let create_db ?durability () =
     let c = { (Config.of_env ()) with Config.partitions = 1 } in
-    create_db ~config:c ?backend ?durability ()
+    create_db ~config:c ?durability ()
 end
 
 module Value = Ode_base.Value
@@ -144,7 +144,7 @@ let probe pdb =
    state byte-identical to the shadow image captured when the last
    surviving batch was emitted — and the revived database behaves
    identically from there on. *)
-let crash_harness ~backend ~points ~seed () =
+let crash_harness ~points ~seed () =
   let dir = fresh_dir () in
   let shadows = ref [] in
   let cfg =
@@ -154,7 +154,7 @@ let crash_harness ~backend ~points ~seed () =
       ~on_batch:(fun tdb -> shadows := Persist.image_bytes tdb :: !shadows)
       dir
   in
-  let db = D.create_db ~backend ~durability:(`Wal cfg) () in
+  let db = D.create_db ~durability:(`Wal cfg) () in
   D.register_class db (schema ());
   let base = D.image_bytes db in
   Alcotest.(check bool) "baseline snapshot = initial image" true
@@ -189,7 +189,7 @@ let crash_harness ~backend ~points ~seed () =
     let dir2 = fresh_dir () in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
-    let rdb = D.create_db ~backend ~durability:(`Wal (Wal.config dir2)) () in
+    let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
     D.register_class rdb (schema ());
     D.recover rdb;
     let expected = if n = 0 then base else shadows.(n - 1) in
@@ -202,7 +202,7 @@ let crash_harness ~backend ~points ~seed () =
     (* every 10th point, drive both databases forward and compare
        behaviour, not just bytes *)
     if point mod 10 = 0 then begin
-      let sdb = D.create_db ~backend ~durability:`Image () in
+      let sdb = D.create_db ~durability:`Image () in
       D.register_class sdb (schema ());
       let f = Filename.temp_file "ode_wal_shadow" ".img" in
       Codec.to_file f expected;
@@ -217,10 +217,7 @@ let crash_harness ~backend ~points ~seed () =
     end
   done
 
-let test_crash_heap () = crash_harness ~backend:`Heap ~points:250 ~seed:42 ()
-
-let test_crash_sharded () =
-  crash_harness ~backend:(`Sharded 4) ~points:250 ~seed:43 ()
+let test_crash_heap () = crash_harness ~points:250 ~seed:42 ()
 
 (* Checkpoints rotate the generation pair: the old snapshot + log are
    retired, and recovery from the rotated directory still reconstructs
@@ -291,8 +288,7 @@ let test_group_commit_window () =
   Alcotest.(check int) "closed backend emits nothing" 6
     (List.length (Wal.scan_file (Wal.wal_path dir 0)).Wal.frames)
 
-(* ODE_DURABILITY selects the backend at create_db, like
-   ODE_STORE_BACKEND selects the heap. *)
+(* ODE_DURABILITY selects the backend at create_db. *)
 let test_env_selector () =
   let old = Sys.getenv_opt "ODE_DURABILITY" in
   let restore () =
@@ -396,8 +392,6 @@ let suite =
   [
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
-    Alcotest.test_case "crash harness, sharded backend (250 points)" `Quick
-      test_crash_sharded;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
     Alcotest.test_case "group-commit window" `Quick test_group_commit_window;
     Alcotest.test_case "ODE_DURABILITY selector" `Quick test_env_selector;
