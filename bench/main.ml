@@ -759,8 +759,8 @@ let e10_obs () =
 (* E12-kernel: the compiled posting kernel vs the reference stepper     *)
 (* ------------------------------------------------------------------ *)
 
-(* shared by E12-kernel and E16-partition: N objects, each carrying
-   perpetual never-completing triggers (half of them masked) *)
+(* E12-kernel's workload: N objects, each carrying perpetual
+   never-completing triggers (half of them masked) *)
 let kernel_n_objects = 256
 let kernel_triggers_per_obj = 4
 
@@ -930,13 +930,10 @@ let smoke () =
   let r = D.observe db in
   pf "%a@." Obs.pp r;
   if Obs.get r Obs.Posts = 0 then failwith "smoke: no posts counted";
-  (* post_many on a single engine and on an oid-sliced engine group:
-     every event of a uniform batch and of an 80/20 hot-key-skewed one
-     must fire *)
-  let batch_firings ?(partitions = 1) ~contended () =
-    let db =
-      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
-    in
+  (* post_many: every event of a uniform batch and of an 80/20
+     hot-key-skewed one must fire *)
+  let batch_firings ~contended =
+    let db = D.create_db ~config:D.Config.default () in
     let b = D.define_class "s" in
     let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
     let b =
@@ -968,19 +965,12 @@ let smoke () =
     | Error `Aborted -> failwith "smoke: batch transaction aborted");
     !fired
   in
-  let f1 = batch_firings ~contended:false ()
-  and c1 = batch_firings ~contended:true () in
+  let f1 = batch_firings ~contended:false
+  and c1 = batch_firings ~contended:true in
   if f1 <> 8 || c1 <> 40 then
     failwith
       (Printf.sprintf "smoke: post_many fired %d/%d (want 8/40)" f1 c1);
   pf "smoke ok (post_many: %d uniform, %d contended firings).@." f1 c1;
-  let p2 = batch_firings ~partitions:2 ~contended:true ()
-  and p4 = batch_firings ~partitions:4 ~contended:true () in
-  if p2 <> 40 || p4 <> 40 then
-    failwith
-      (Printf.sprintf "smoke: partitioned post_many fired %d/%d (want 40/40)"
-         p2 p4);
-  pf "partition smoke ok (40/40 firings at 2/4 partitions).@.";
   (* WAL crash-injection smoke: 50 randomized kill points over a logged
      workload must each recover to the exact shadow image captured when
      the last surviving batch was emitted (the full 500-point harness
@@ -1444,117 +1434,6 @@ let e15_serve () =
   pf "wrote BENCH_serve.json@."
 
 (* ------------------------------------------------------------------ *)
-(* E16-partition: post_many throughput vs partition count               *)
-(* ------------------------------------------------------------------ *)
-
-(* The E12-kernel workload through an oid-sliced engine group: 256
-   objects x 4 perpetual never-completing triggers, one ping per object
-   per batch, zero firings — measured at 1/2/4 partitions on two batch
-   shapes. [uniform] spreads the batch round-robin over the members
-   (oids are allocated round-robin); [hot] routes every event to
-   objects of one member, the worst-case skew, so the row pair bounds
-   what routing costs and what slicing buys. Partitioning is observably
-   transparent (test/test_partition.ml proves bit-identical images);
-   this experiment prices it. Emits BENCH_partition.json. *)
-let e16_partition () =
-  section "E16-partition: post_many throughput vs partition count";
-  let module D = Ode_odb.Database in
-  let module Sym = Ode_event.Symbol in
-  let n_objects = kernel_n_objects in
-  let triggers_per_obj = kernel_triggers_per_obj in
-  let mk partitions =
-    let config = { D.Config.default with D.Config.partitions } in
-    let db = D.create_db ~config () in
-    let b = D.define_class "c" in
-    let b = D.field b "x" (Value.Int 1) in
-    let rec add b i =
-      if i >= triggers_per_obj then b
-      else
-        add
-          (D.trigger_str b ~perpetual:true
-             (Printf.sprintf "t%d" i)
-             ~event:
-               (if i mod 2 = 0 then "after ping ; after never"
-                else "after ping && x > 0 ; after never")
-             ~action:(fun _ _ -> ()))
-          (i + 1)
-    in
-    D.register_class db (add b 0);
-    match
-      D.with_txn db (fun _ ->
-          List.init n_objects (fun _ ->
-              let oid = D.create db "c" [] in
-              for i = 0 to triggers_per_obj - 1 do
-                D.activate db oid (Printf.sprintf "t%d" i) []
-              done;
-              oid))
-    with
-    | Ok oids -> (db, oids)
-    | Error `Aborted -> failwith "abort"
-  in
-  let measure ~hot partitions =
-    let db, oids = mk partitions in
-    let targets =
-      if not hot then oids
-      else
-        (* every event on one member's slice *)
-        match List.filter (fun o -> o mod partitions = 0) oids with
-        | [] -> oids
-        | hots ->
-          let n = List.length hots in
-          List.init n_objects (fun i -> List.nth hots (i mod n))
-    in
-    let items =
-      List.map (fun oid -> (oid, Sym.Method (Sym.After, "ping"), [])) targets
-    in
-    let tx = D.begin_txn db in
-    ignore (D.post_many db items) (* warm-up batch pays the tbegin posts *);
-    let ns = measure_ns (fun () -> ignore (D.post_many db items)) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    ns /. float_of_int n_objects
-  in
-  let counts = [ 1; 2; 4 ] in
-  let rows =
-    List.concat_map
-      (fun p -> [ (p, "uniform", measure ~hot:false p); (p, "hot", measure ~hot:true p) ])
-      counts
-  in
-  pf "objects=%d triggers/object=%d@." n_objects triggers_per_obj;
-  pf "%-12s %-10s %16s %18s@." "partitions" "batch" "ns/event" "events/sec";
-  List.iter
-    (fun (p, shape, ns) ->
-      pf "%-12d %-10s %16.0f %18.0f@." p shape ns (1e9 /. ns))
-    rows;
-  pf "shape: routing adds one owner lookup per event; a hot-key batch lands\n\
-      every event on one member and forfeits the slicing.@.";
-  let oc = open_out "BENCH_partition.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E16-partition\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"post_many through an oid-sliced engine group: \
-     %d objects x %d perpetual never-completing triggers, one ping per \
-     object per batch; uniform spreads the batch over the members, hot \
-     routes it all to one member\",\n"
-    n_objects triggers_per_obj;
-  p "  \"cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (parts, shape, ns) ->
-      p
-        "    {\"partitions\": %d, \"batch\": \"%s\", \"ns_per_event\": %.0f, \
-         \"events_per_sec\": %.0f}%s\n"
-        parts shape ns (1e9 /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_partition.json@."
-
-(* ------------------------------------------------------------------ *)
 (* E17-timer: the timing wheel vs the sorted-list queue                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -1874,7 +1753,7 @@ let () =
       ("e7", e7); ("e8", e8); ("e9", e9); ("e9d", e9_dispatch); ("e10", e10);
       ("e10o", e10_obs); ("e11", e11); ("e12", e12);
       ("e12k", e12_kernel); ("e14w", e14_wal); ("e15s", e15_serve);
-      ("e16p", e16_partition); ("e17t", e17_timer); ("micro", bechamel_suite);
+      ("e17t", e17_timer); ("micro", bechamel_suite);
       ("smoke", smoke) ]
   in
   let selected =

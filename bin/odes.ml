@@ -3,23 +3,16 @@
      odes serve --port 7912 --schema examples/odl/stockroom.odl
 
    The database is configured exactly like an embedded one: the
-   Database.Config env vars (ODE_DURABILITY, ODE_PARTITIONS) apply,
-   and the serve-specific knobs (port, batch window, outbox bound,
-   backpressure) ride on the same Config record. A partitioned engine is wire-transparent:
-   coalesced batches route by oid inside post_many, and batch serials
-   and firing totals in replies are identical at any partition count. *)
+   Database.Config env var (ODE_DURABILITY) applies, and the
+   serve-specific knobs (port, batch window, outbox bound, backpressure)
+   ride on the same Config record. *)
 
 module D = Ode_odb.Database
 module Server = Ode_net.Server
 
-let cmd_serve host port window max_batch outbox bp schema_file obs partitions =
+let cmd_serve host port window max_batch outbox bp schema_file obs =
   match
     let base = D.Config.of_env () in
-    let base =
-      match partitions with
-      | None -> base
-      | Some n -> { base with D.Config.partitions = n }
-    in
     let config =
       {
         base with
@@ -117,24 +110,13 @@ let obs_arg =
     value & flag
     & info [ "obs" ] ~doc:"Enable the Ode_obs observability registry.")
 
-let partitions_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "partitions" ] ~docv:"N"
-        ~doc:
-          "Slice the engine into $(docv) oid-partitioned members, each with \
-           its own heap slice, timer wheel and durability log (overrides \
-           ODE_PARTITIONS). Observably transparent: same firings, same \
-           batch serials, same image bytes as a single engine.")
-
 let serve_cmd =
   Cmd.v
     (Cmd.info "serve" ~doc:"Serve the database over TCP (docs/PROTOCOL.md)")
     Term.(
       term_result
         (const cmd_serve $ host_arg $ port_arg $ window_arg $ max_batch_arg
-       $ outbox_arg $ bp_arg $ schema_arg $ obs_arg $ partitions_arg))
+       $ outbox_arg $ bp_arg $ schema_arg $ obs_arg))
 
 let () =
   let doc = "the active-database server (SIGMOD '92 event triggers over TCP)" in

@@ -4,7 +4,7 @@
     payload is one JSON document. [len = 0] and [len > max] are
     protocol violations: a peer that sends either is broken (or the
     stream is corrupt) and the connection must be dropped — there is no
-    way to resynchronise a length-prefixed stream after a bad length.
+    way to find the next frame boundary after a bad length.
 
     Two consumption styles: the blocking {!read_frame}/{!write_frame}
     pair for clients and tests, and the incremental {!decoder} the

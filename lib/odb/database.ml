@@ -93,7 +93,6 @@ module Config = struct
     max_tcomplete_rounds : int;
     trace_capacity : int;
     durability : durability_spec;
-    partitions : int;
     timing : bool;
     serve : serve;
   }
@@ -117,7 +116,6 @@ module Config = struct
       max_tcomplete_rounds = 1000;
       trace_capacity = 1024;
       durability = `Image;
-      partitions = 1;
       timing = false;
       serve = default_serve;
     }
@@ -140,20 +138,7 @@ module Config = struct
           Types.ode_error "ODE_DURABILITY: bad flush window in %S" s)
       | Some _ | None -> Types.ode_error "ODE_DURABILITY: unknown backend %S" s)
 
-  let of_env () =
-    let c = { default with durability = durability_of_env () } in
-    (* CI also runs the suite partitioned: ODE_PARTITIONS=n slices
-       every database created through the env path into an n-member
-       engine group *)
-    match Sys.getenv_opt "ODE_PARTITIONS" with
-    | None | Some "" -> c
-    | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> { c with partitions = n }
-      | Some n ->
-        Types.ode_error "ODE_PARTITIONS: partition count must be >= 1 (got %d)"
-          n
-      | None -> Types.ode_error "ODE_PARTITIONS: bad partition count %S" s)
+  let of_env () = { default with durability = durability_of_env () }
 end
 
 let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
@@ -173,50 +158,33 @@ let create_db ?config ?start_time ?max_tcomplete_rounds ?trace_capacity
       durability = override durability c.Config.durability;
     }
   in
-  let partitions = c.Config.partitions in
-  if partitions < 1 then
-    Types.ode_error "partition count must be >= 1 (got %d)" partitions;
   if c.Config.max_tcomplete_rounds < 1 then
     Types.ode_error "max_tcomplete_rounds must be >= 1 (got %d)"
       c.Config.max_tcomplete_rounds;
   if c.Config.trace_capacity < 1 then
     Types.ode_error "trace_capacity must be >= 1 (got %d)"
       c.Config.trace_capacity;
+  let dur =
+    match c.Config.durability with
+    | `Image -> Persist.image_backend ()
+    | `Wal cfg -> Wal.backend cfg
+  in
   let db =
-    if partitions = 1 then
-      let dur =
-        match c.Config.durability with
-        | `Image -> Persist.image_backend ()
-        | `Wal cfg -> Wal.backend cfg
-      in
-      Types.make_db ~start_time:c.Config.start_time
-        ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
-        ~trace_capacity:c.Config.trace_capacity ~durability:dur ()
-    else begin
-      let db =
-        Engine_group.make ~partitions ~start_time:c.Config.start_time
-          ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
-          ~trace_capacity:c.Config.trace_capacity ()
-      in
-      db.Types.durability <-
-        (match c.Config.durability with
-        | `Image -> Engine_group.image_backend ()
-        | `Wal cfg -> Engine_group.wal_backend ~partitions cfg);
-      db
-    end
+    Types.make_db ~start_time:c.Config.start_time
+      ~max_tcomplete_rounds:c.Config.max_tcomplete_rounds
+      ~trace_capacity:c.Config.trace_capacity ~durability:dur ()
   in
   if c.Config.timing then Ode_obs.Registry.set_timing db.Types.obs true;
   db.Types.durability.Types.dur_attach db;
   db
 
 let durability_name (db : t) = db.Types.durability.Types.dur_name
-let partitions (db : t) = Types.n_partitions db
 
 let config_summary (db : t) =
   let onoff b = if b then "on" else "off" in
   Printf.sprintf
-    "durability=%s partitions=%d obs=%s timing=%s clock=%Ldms"
-    (durability_name db) (partitions db)
+    "durability=%s obs=%s timing=%s clock=%Ldms"
+    (durability_name db)
     (onoff (Ode_obs.Registry.enabled db.Types.obs))
     (onoff (Ode_obs.Registry.timing db.Types.obs))
     db.Types.wheel.Types.clock_ms
@@ -224,7 +192,7 @@ let config_summary (db : t) =
 let now = Timewheel.now
 let advance_clock = Timewheel.advance_clock
 let advance_to = Timewheel.advance_to
-let image_bytes = Persist.group_image_bytes
+let image_bytes = Persist.image_bytes
 let save (db : t) path = db.Types.durability.Types.dur_save db path
 let load (db : t) path = db.Types.durability.Types.dur_load db path
 let recover (db : t) = db.Types.durability.Types.dur_recover db

@@ -202,9 +202,6 @@ module Config : sig
     max_tcomplete_rounds : int;
     trace_capacity : int;
     durability : durability_spec;
-    partitions : int;
-        (** engine members slicing the database by oid ([oid mod n]);
-            1 = the classic single engine. See [Engine_group]. *)
     timing : bool;  (** force latency histograms on — see
         [Ode_obs.Registry.set_timing] *)
     serve : serve;
@@ -216,18 +213,14 @@ module Config : sig
 
   val default : t
   (** The documented defaults, environment ignored: image durability,
-      1 partition, timing off, {!default_serve}. *)
+      timing off, {!default_serve}. *)
 
   val of_env : unit -> t
-  (** {!default} with the two environment overrides applied — the
-      one parser for both, raising {!Ode_error} with the offending
-      variable named on any malformed value:
-
-      - [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
-        ([wal] in a fresh temporary directory — how CI runs the whole
-        suite under the log);
-      - [ODE_PARTITIONS=<n>] sets [partitions] (how CI runs the whole
-        suite partitioned). *)
+  (** {!default} with the environment override applied, raising
+      {!Ode_error} with the variable named on a malformed value:
+      [ODE_DURABILITY=image|wal|wal:<flush_ms>] sets [durability]
+      ([wal] in a fresh temporary directory — how CI runs the whole
+      suite under the log). *)
 end
 
 val create_db :
@@ -243,29 +236,21 @@ val create_db :
     exceed it, {!commit} raises {!Ode_error} naming the round count
     instead of livelocking. [trace_capacity] (default 1024, must be
     >= 1) sizes the observability trace ring — see {!observe}. A
-    partition count, [max_tcomplete_rounds] or [trace_capacity] below 1
-    raises {!Ode_error} naming the field. The
+    [max_tcomplete_rounds] or [trace_capacity] below 1 raises
+    {!Ode_error} naming the field. The
     chosen durability backend is attached (its [dur_attach]) before
     this returns: a WAL database starts logging from its very first
     commit. *)
 
 val config_summary : t -> string
 (** One operator-readable line describing what this instance {e is}:
-    durability, partition count, observability state and the clock —
-    e.g. ["durability=wal:/var/ode partitions=2 obs=off timing=off \
-    clock=0ms"]. Surfaced by [odec schema] and the server's [status]
+    durability, observability state and the clock — e.g.
+    ["durability=wal:/var/ode obs=off timing=off clock=0ms"]. Surfaced by [odec schema] and the server's [status]
     verb. *)
 
 val durability_name : t -> string
 (** ["image"] or ["wal:<dir>"] — the [durability=] component of
     {!config_summary}. *)
-
-val partitions : t -> int
-(** How many engine members slice this database (1 unless
-    [Config.partitions] asked for a group) — the [partitions=]
-    component of {!config_summary}. Partitioning is observably
-    transparent: firings, their order, counters and {!image_bytes}
-    are identical at any partition count. *)
 
 (** {1 Observability}
 

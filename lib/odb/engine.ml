@@ -40,13 +40,12 @@ let count_active triggers =
    per database, and run the same workload through both. *)
 let set_stepper db stepper = db.engine.stepper <- stepper
 
-(* The scratch buffer, built on first kernel post against the facade
-   (lookups route group-wide from any member). *)
+(* The scratch buffer, built on first kernel post. *)
 let ensure_scratch db =
   match db.engine.scratch with
   | Some sc -> sc
   | None ->
-    let sc = Store.make_scratch (Types.primary db) in
+    let sc = Store.make_scratch db in
     db.engine.scratch <- Some sc;
     sc
 
@@ -421,8 +420,7 @@ let classify_code_cached cache detector ~env occurrence =
 
 (* Step one database-scope activation from its packed code. Database
    triggers are always Full_history mode, so no undo snapshots are ever
-   due; the probes match the kernel's (the partition-equivalence suite
-   pins the counters). *)
+   due; the probes match the kernel's. *)
 let step_db_code db (at : active_trigger) ~env code occurrence =
   let obs = db.obs in
   let on = Registry.enabled obs in
@@ -488,15 +486,9 @@ let post_db db (basic : Symbol.basic) args =
   | candidates ->
     let occurrence = { Symbol.basic; args; at = db.wheel.clock_ms } in
     let affected = match args with Value.Oid o :: _ -> o | _ -> 0 in
-    (* The event is classified {e at its origin} — the member owning
-       the affected oid (the db itself when unpartitioned), whose mask
-       environment sees that member's slice directly (dereferences
-       still route group-wide) — into one packed int code per distinct
-       detector; the codes are then stepped on the facade-owned
-       automata. Every candidate is classified before any steps, as in
-       the kernel. *)
-    let origin = Types.owner_db db affected in
-    let env = Store.db_mask_env origin in
+    (* One packed int code per distinct detector; every candidate is
+       classified before any steps, as in the kernel. *)
+    let env = Store.db_mask_env db in
     let cache = ref [] in
     let coded =
       List.map
@@ -912,7 +904,7 @@ let activate db oid tname params =
       {
         at_def = def;
         at_params = params;
-        at_state = Store.fresh_at_state db oid def.t_detector;
+        at_state = Store.fresh_at_state db def.t_detector;
         at_collected = [];
         at_provenance =
           (if def.t_witnesses then Some (Ode_event.Provenance.make def.t_event)

@@ -21,7 +21,7 @@ val set_stepper :
   option ->
   unit
 (** Replace the compiled kernel's classify/step phases for object-scope
-    posts on this database (every partition member) with a reference
+    posts on this database with a reference
     stepper; [None] (the state of every database at creation) restores
     the kernel. The stepper receives the committed-mode undo list to
     extend and a batch of occurrences in batch order ({!post} passes a

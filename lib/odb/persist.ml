@@ -130,7 +130,7 @@ let install_obj db (oid, cname, fields, triggers) =
             at_params = params;
             (* fresh representation (SoA slot or word vector), then
                overwrite with the saved words *)
-            at_state = Store.fresh_at_state db oid def.t_detector;
+            at_state = Store.fresh_at_state db def.t_detector;
             at_collected = collected;
             (* provenance instances are volatile: rebuilt empty after a
                load (documented in save) *)
@@ -151,10 +151,8 @@ let install_obj db (oid, cname, fields, triggers) =
 
 let write_timer w (tm : timer) =
   Codec.write_int w (Int64.to_int tm.tm_due);
-  (* the insertion stamp is part of the image: every partition count
-     assigns the same stamps (one group-wide counter), so images stay
-     config-identical — and a reload restores the exact delivery order
-     among equal-due timers scattered across partition members *)
+  (* the insertion stamp is part of the image: a reload restores the
+     exact delivery order among equal-due timers *)
   Codec.write_int w tm.tm_seq;
   Codec.write_int w tm.tm_oid;
   Codec.write_string w tm.tm_trigger;
@@ -195,22 +193,15 @@ let save db path =
   if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
   Codec.to_file path (image_bytes db)
 
-(* Restored timers keep their saved insertion stamps; the group-wide
-   counter must resume past them so later arms sort after. The counter
-   lives on the facade wheel and only moves forward — member-by-member
-   recovery of a partition group maxes it correctly. *)
+(* Restored timers keep their saved insertion stamps; the counter must
+   resume past them so later arms sort after. It only moves forward. *)
 let bump_seq_counter db timers =
-  let pr = Types.primary db in
   List.iter
     (fun tm ->
-      if tm.tm_seq >= pr.wheel.tm_next_seq then
-        pr.wheel.tm_next_seq <- tm.tm_seq + 1)
+      if tm.tm_seq >= db.wheel.tm_next_seq then
+        db.wheel.tm_next_seq <- tm.tm_seq + 1)
     timers
 
-(* Member-local on purpose (resets and refills only [db]'s own heap
-   slice and wheel): a partition member's WAL recovery restores its
-   slice from its own snapshot. Group images go through
-   [group_load_image]. *)
 let load_image db data =
   let r = Codec.reader data in
   if Codec.read_string r <> magic then raise (Codec.Corrupt "not an Ode image");
@@ -233,79 +224,6 @@ let load_image db data =
 let load db path =
   if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";
   load_image db (Codec.of_file path)
-
-(* ------------------------------------------------------------------ *)
-(* Group images                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The merged image of a partition group: member slices interleaved
-   back into ascending-oid / (due, seq) order. Because member slices
-   partition exactly what a single engine would hold, the merge is
-   byte-identical to the single-engine [image_bytes] — the property the
-   partition-equivalence suite pins. *)
-let group_image_bytes db =
-  match db.part with
-  | None -> image_bytes db
-  | Some p ->
-    let pr = p.p_members.(0) in
-    let w = Codec.writer () in
-    Codec.write_string w magic;
-    Codec.write_int w pr.store.next_oid;
-    Codec.write_int w pr.txns.next_txn_id;
-    Codec.write_int w (Int64.to_int pr.wheel.clock_ms);
-    let objs =
-      Array.fold_left
-        (fun acc m -> List.rev_append (Store.live_objects m) acc)
-        [] p.p_members
-      |> List.sort (fun a b -> compare a.o_id b.o_id)
-    in
-    Codec.write_list w write_obj objs;
-    let timers =
-      Array.fold_left
-        (fun acc m -> List.rev_append (Timewheel.pending m) acc)
-        [] p.p_members
-      |> List.sort (fun a b ->
-             compare (a.tm_due, a.tm_seq) (b.tm_due, b.tm_seq))
-    in
-    Codec.write_list w write_timer timers;
-    Codec.contents w
-
-(* [load_image] for a whole group: reset every member slice, then let
-   owner routing scatter the merged image's objects and timers back to
-   their members. *)
-let group_load_image db data =
-  match db.part with
-  | None -> load_image db data
-  | Some p ->
-    let r = Codec.reader data in
-    if Codec.read_string r <> magic then
-      raise (Codec.Corrupt "not an Ode image");
-    let next_oid = Codec.read_int r in
-    let next_txn_id = Codec.read_int r in
-    let clock_ms = Int64.of_int (Codec.read_int r) in
-    let objs = Codec.read_list r read_obj_raw in
-    let timers = Codec.read_list r read_timer in
-    Array.iter
-      (fun m ->
-        Store.reset_heap m;
-        Timewheel.clear m;
-        m.wheel.tm_next_seq <- 0;
-        m.store.next_oid <- next_oid;
-        m.wheel.clock_ms <- clock_ms)
-      p.p_members;
-    db.txns.next_txn_id <- next_txn_id;
-    (* [install_obj]/[insert_timer] route to the owning member *)
-    List.iter (install_obj db) objs;
-    List.iter (Timewheel.insert_timer db) timers;
-    bump_seq_counter db timers
-
-let group_save db path =
-  if db.txns.open_txns <> [] then ode_error "cannot save with open transactions";
-  Codec.to_file path (group_image_bytes db)
-
-let group_load db path =
-  if db.txns.open_txns <> [] then ode_error "cannot load with open transactions";
-  group_load_image db (Codec.of_file path)
 
 (* ------------------------------------------------------------------ *)
 (* The full-image durability backend                                   *)

@@ -39,22 +39,7 @@ val image_bytes : db -> string
 val load_image : db -> string -> unit
 (** [load] from in-memory bytes: parse fully, then reset the heap and
     install. A [Codec.Corrupt] raised during the parse leaves the
-    database untouched. Member-local for a partition member (its WAL
-    recovery restores only its own slice); see {!group_load_image}. *)
-
-(** {1 Partition-group images}
-
-    A partitioned database ([Engine_group]) holds its heap and timer
-    queue spread over member slices. The group writers below merge the
-    slices back into ascending-oid / (due, seq) order, so the merged
-    image is byte-identical to what a single-engine run of the same
-    history would save — and they collapse to the plain functions when
-    the db is unpartitioned. *)
-
-val group_image_bytes : db -> string
-val group_load_image : db -> string -> unit
-val group_save : db -> string -> unit
-val group_load : db -> string -> unit
+    database untouched. *)
 
 val write_obj : Ode_base.Codec.writer -> obj -> unit
 (** Serialize one object: oid, class name, sorted fields, sorted
@@ -98,6 +83,10 @@ val install_obj :
 
 val write_timer : Ode_base.Codec.writer -> timer -> unit
 val read_timer : Ode_base.Codec.reader -> timer
+
+val bump_seq_counter : db -> timer list -> unit
+(** Move the insertion-stamp counter past every restored timer's
+    [tm_seq], so later arms sort after them (image load, WAL replay). *)
 
 val image_backend : unit -> durability_backend
 (** The full-image codec as a durability backend: [dur_save]/[dur_load]

@@ -2,31 +2,14 @@ module Value = Ode_base.Value
 module Mask = Ode_event.Mask
 open Types
 
-(* The partition members in owner order, [[| db |]] when unpartitioned:
-   what group-wide walks iterate. *)
-let members db = match db.part with Some p -> p.p_members | None -> [| db |]
-
 (* ------------------------------------------------------------------ *)
 (* Heap operations on the database                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Oid allocation is one counter: with [owner_db] routing by
-   [oid mod n], a monotonically increasing oid stream round-robins the
-   partition members, keeping them balanced without per-member
-   counters. *)
 let alloc_oid db =
-  match db.part with
-  | None ->
-    let oid = db.store.next_oid in
-    db.store.next_oid <- oid + 1;
-    oid
-  | Some p ->
-    (* one group-wide counter, mirrored into every member so each
-       member's WAL batches carry the same [next_oid] the single-engine
-       run would log *)
-    let oid = p.p_members.(0).store.next_oid in
-    Array.iter (fun m -> m.store.next_oid <- oid + 1) p.p_members;
-    oid
+  let oid = db.store.next_oid in
+  db.store.next_oid <- oid + 1;
+  oid
 
 let new_obj k oid =
   let obj =
@@ -58,8 +41,8 @@ let new_obj k oid =
    array. Slots are allocated at activation and released at undo and
    object removal. *)
 
-let soa_slot db oid (det : Ode_event.Detector.t) =
-  let tbl = (Types.owner_db db oid).store.soa in
+let soa_slot db (det : Ode_event.Detector.t) =
+  let tbl = db.store.soa in
   let w = Ode_event.Detector.n_state_words det in
   let blk =
     match Hashtbl.find_opt tbl det.uid with
@@ -90,11 +73,11 @@ let soa_slot db oid (det : Ode_event.Detector.t) =
   Ode_event.Detector.write_initial det blk.blk_state (slot * w);
   S_slot (blk, slot)
 
-(* Fresh detection state for an activation of [det] on object [oid]:
-   packed into the owning heap's SoA block when the detector qualifies, a
+(* Fresh detection state for an activation of [det]:
+   packed into the heap's SoA block when the detector qualifies, a
    private word vector otherwise. *)
-let fresh_at_state db oid (det : Ode_event.Detector.t) =
-  if Ode_event.Detector.has_flat det then soa_slot db oid det
+let fresh_at_state db (det : Ode_event.Detector.t) =
+  if Ode_event.Detector.has_flat det then soa_slot db det
   else S_words (Ode_event.Detector.initial det)
 
 let free_at_state at =
@@ -106,15 +89,12 @@ let free_obj_slots obj = Hashtbl.iter (fun _ at -> free_at_state at) obj.o_trigg
 
 (* The live-object count is maintained at the four mutation points
    (add, remove, delete-mark, undelete-mark) so [stats] and [cardinal
-   ~live:true] are O(1) instead of a heap scan. Each mutation routes to
-   the oid's owning member first, so per-member counts stay exact. *)
+   ~live:true] are O(1) instead of a heap scan. *)
 let add_obj db obj =
-  let db = Types.owner_db db obj.o_id in
   Hashtbl.add db.store.heap obj.o_id obj;
   if not obj.o_deleted then db.store.n_live <- db.store.n_live + 1
 
 let remove_obj db oid =
-  let db = Types.owner_db db oid in
   match Hashtbl.find_opt db.store.heap oid with
   | None -> ()
   | Some o ->
@@ -125,32 +105,25 @@ let remove_obj db oid =
 let mark_deleted db obj =
   if not obj.o_deleted then begin
     obj.o_deleted <- true;
-    let db = Types.owner_db db obj.o_id in
     db.store.n_live <- db.store.n_live - 1
   end
 
 let unmark_deleted db obj =
   if obj.o_deleted then begin
     obj.o_deleted <- false;
-    let db = Types.owner_db db obj.o_id in
     db.store.n_live <- db.store.n_live + 1
   end
 
-(* Member-local on purpose: [Persist.load_image] resets one member's
-   slice before reinstalling it; group-wide resets walk the members. *)
 let reset_heap db =
   Hashtbl.reset db.store.heap;
   Hashtbl.reset db.store.soa;
   db.store.n_live <- 0
 
-let find_obj db oid = Hashtbl.find_opt (Types.owner_db db oid).store.heap oid
-let mem db oid = Hashtbl.mem (Types.owner_db db oid).store.heap oid
+let find_obj db oid = Hashtbl.find_opt db.store.heap oid
+let mem db oid = Hashtbl.mem db.store.heap oid
 
 let cardinal ?(live = false) db =
-  Array.fold_left
-    (fun acc m ->
-      acc + if live then m.store.n_live else Hashtbl.length m.store.heap)
-    0 (members db)
+  if live then db.store.n_live else Hashtbl.length db.store.heap
 
 let live_obj db oid =
   match find_obj db oid with
@@ -168,11 +141,6 @@ let exists db oid =
 
 let class_of db oid = (live_obj db oid).o_class.k_name
 
-(* Raw heap enumeration is deliberately {e member-local}: a partition
-   member's WAL checkpoints snapshot only its own slice. Group-wide
-   listings ([objects], [objects_of_class], [stats]) walk [members]
-   explicitly; the merged-image writer in [Persist] does its own
-   oid-order merge of the member slices. *)
 let fold_objects f db init =
   Hashtbl.fold (fun _ o acc -> f o acc) db.store.heap init
 
@@ -180,25 +148,17 @@ let iter_objects f db = Hashtbl.iter (fun _ o -> f o) db.store.heap
 
 (* Enumeration contract: ascending oid. Folding a hashtable enumerates
    in hash order, which must never leak — commit/abort fan-out and
-   persist snapshots would otherwise depend on the table's history (or
-   on the partition count). *)
+   persist snapshots would otherwise depend on the table's history. *)
 let objects db =
-  Array.fold_left
-    (fun acc m ->
-      fold_objects (fun o acc -> if o.o_deleted then acc else o.o_id :: acc) m
-        acc)
-    [] (members db)
+  fold_objects (fun o acc -> if o.o_deleted then acc else o.o_id :: acc) db []
   |> List.sort compare
 
 let objects_of_class db cname =
-  Array.fold_left
-    (fun acc m ->
-      fold_objects
-        (fun o acc ->
-          if (not o.o_deleted) && o.o_class.k_name = cname then o.o_id :: acc
-          else acc)
-        m acc)
-    [] (members db)
+  fold_objects
+    (fun o acc ->
+      if (not o.o_deleted) && o.o_class.k_name = cname then o.o_id :: acc
+      else acc)
+    db []
   |> List.sort compare
 
 let live_objects db =
@@ -279,7 +239,7 @@ let db_mask_env db : Mask.env =
 
 let enable_history db ~limit =
   if limit < 0 then ode_error "history limit must be >= 0";
-  Array.iter (fun m -> m.store.history_limit <- limit) (members db)
+  db.store.history_limit <- limit
 
 let record_history db tx obj occurrence =
   if db.store.history_limit > 0 then begin
@@ -344,20 +304,16 @@ let undo_state_bytes db =
 let stats db =
   let n_active = ref 0 in
   let state_bytes = ref 0 in
-  let n_timers = ref 0 in
-  Array.iter
-    (fun m ->
-      iter_objects
-        (fun obj ->
-          if not obj.o_deleted then
-            Hashtbl.iter
-              (fun _ at ->
-                if at.at_active then incr n_active;
-                state_bytes := !state_bytes + activation_bytes at)
-              obj.o_triggers)
-        m;
-      n_timers := !n_timers + Types.timerq_count m.wheel)
-    (members db);
+  iter_objects
+    (fun obj ->
+      if not obj.o_deleted then
+        Hashtbl.iter
+          (fun _ at ->
+            if at.at_active then incr n_active;
+            state_bytes := !state_bytes + activation_bytes at)
+          obj.o_triggers)
+    db;
+  let n_timers = Types.timerq_count db.wheel in
   Hashtbl.iter
     (fun _ at -> state_bytes := !state_bytes + activation_bytes at)
     db.engine.db_triggers;
@@ -365,7 +321,6 @@ let stats db =
     n_objects = cardinal ~live:true db;
     n_classes = Hashtbl.length db.schema.classes;
     n_active_triggers = !n_active;
-    n_timers = !n_timers;
-    state_bytes =
-      !state_bytes + (timer_bytes * !n_timers) + undo_state_bytes db;
+    n_timers;
+    state_bytes = !state_bytes + (timer_bytes * n_timers) + undo_state_bytes db;
   }

@@ -1,9 +1,8 @@
 (** Store layer: the object heap — oid allocation, live-object lookup,
     field access, per-object activations and event histories.
 
-    The heap is one [(oid, obj) Hashtbl.t] per database ({!Types.store_state});
-    in a partitioned database each member holds the slice of oids
-    {!Types.owner_db} routes to it. Depends on {!Types} (and reads the
+    The heap is one [(oid, obj) Hashtbl.t] per database
+    ({!Types.store_state}). Depends on {!Types} (and reads the
     schema tables for mask environments); knows nothing about
     transactions or event posting.
 
@@ -12,21 +11,16 @@
     {!objects_of_class}, {!live_objects} — therefore sorts to
     {e ascending oid} before returning, so commit and abort fan-out,
     persist snapshots and user-visible listings do not depend on the
-    table's history or the partition count. Code that folds the raw heap
+    table's history. Code that folds the raw heap
     directly must either be order-insensitive or sort likewise. *)
 
 module Value = Ode_base.Value
 open Types
 
-val members : db -> db array
-(** The partition members in owner order, [[| db |]] when
-    unpartitioned — what group-wide walks iterate. *)
-
 (** {1 Heap operations} *)
 
 val alloc_oid : db -> oid
-(** One monotone counter, group-wide when partitioned: the oid stream
-    round-robins the members ([oid mod n]). *)
+(** One monotone counter. *)
 
 val new_obj : klass -> oid -> obj
 (** Fresh object record with the class's field defaults installed. Does
@@ -35,13 +29,13 @@ val new_obj : klass -> oid -> obj
 (** {1 Detection-state blocks}
 
     Activations of flat-table detectors pack their automaton state into
-    a structure-of-arrays block of the owning heap, keyed by detector
+    a structure-of-arrays block of the heap, keyed by detector
     uid, strided by the detector's state width (one word per automaton
     level) — the paper's "one integer per active trigger per object",
     generalised to a small fixed vector for composite-mask
     hierarchies. *)
 
-val fresh_at_state : db -> oid -> Ode_event.Detector.t -> trig_state
+val fresh_at_state : db -> Ode_event.Detector.t -> trig_state
 (** Fresh initial detection state for an activation of this detector on
     this object: an SoA slot when the detector qualifies
     ({!Ode_event.Detector.has_flat}), a private word vector otherwise. *)
@@ -87,15 +81,15 @@ val objects_of_class : db -> string -> oid list
 (** Live oids of one class, ascending. *)
 
 val live_objects : db -> obj list
-(** This member's live objects sorted by ascending oid — the
+(** Live objects sorted by ascending oid — the
     enumeration persist snapshots are built from. *)
 
 val fold_objects : (obj -> 'a -> 'a) -> db -> 'a -> 'a
-(** Raw fold over this member's heap, {e unspecified order}; for
+(** Raw fold over the heap, {e unspecified order}; for
     order-insensitive accumulation only. *)
 
 val iter_objects : (obj -> unit) -> db -> unit
-(** Raw iteration over this member's heap, {e unspecified order}. *)
+(** Raw iteration over the heap, {e unspecified order}. *)
 
 val get_field : db -> oid -> string -> Value.t
 
@@ -138,8 +132,7 @@ type stats = {
           are shared with the posting arguments and are not charged.
 
           Pending timers are charged too, at a flat 144 bytes each
-          (record fields, headers and spec payload), summed across
-          partition members — and the same per-timer charge applies to
+          (record fields, headers and spec payload) — and the same per-timer charge applies to
           timers pinned by [U_timers_cancelled]/[U_timers_armed] undo
           entries. Since [Timewheel] cancels eagerly on deactivation,
           deletion and re-activation, a deactivate/activate storm holds

@@ -20,8 +20,8 @@ let set_deliver_hook f = deliver_hook := f
 (* Keys                                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* The delivery order, everywhere: due instant, then group-wide
-   insertion stamp. Seqs are unique per group, so this is total. *)
+(* The delivery order, everywhere: due instant, then insertion stamp.
+   Seqs are unique, so this is total. *)
 let key_lt (a : timer) (b : timer) =
   a.tm_due < b.tm_due || (a.tm_due = b.tm_due && a.tm_seq < b.tm_seq)
 
@@ -260,27 +260,21 @@ let wheel_all w =
   List.sort cmp_key !acc
 
 (* ------------------------------------------------------------------ *)
-(* The member queue                                                    *)
+(* The queue                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let member_insert m tm =
-  wheel_insert m.wheel.tq ~clock:m.wheel.clock_ms tm;
-  m.wheel.timers_dirty <- true
-
-(* Fresh insertion-order stamp, allocated from the facade wheel so the
-   stream is group-wide: equal-due timers scattered across partition
-   member wheels replay in exactly the single-queue order when
-   [advance_to] merges by (due, seq). *)
+(* Fresh insertion-order stamp: equal-due timers deliver in stamp
+   order. *)
 let fresh_seq db =
-  let pr = Types.primary db in
-  let s = pr.wheel.tm_next_seq in
-  pr.wheel.tm_next_seq <- s + 1;
+  let s = db.wheel.tm_next_seq in
+  db.wheel.tm_next_seq <- s + 1;
   s
 
-(* Inserts into the wheel of the member owning [tm.tm_oid]. The caller
-   provides the stamp: fresh for new arms and re-arms (insertion
-   order), the persisted one when reloading an image. *)
-let insert_timer db tm = member_insert (Types.owner_db db tm.tm_oid) tm
+(* The caller provides the stamp: fresh for new arms and re-arms
+   (insertion order), the persisted one when reloading an image. *)
+let insert_timer db tm =
+  wheel_insert db.wheel.tq ~clock:db.wheel.clock_ms tm;
+  db.wheel.timers_dirty <- true
 
 (* ------------------------------------------------------------------ *)
 (* Persistence plumbing                                                *)
@@ -301,34 +295,25 @@ let rebuild ~clock tms =
   w
 
 (* Bulk-load a (due, seq)-sorted queue (WAL replay, image load): every
-   timer is re-placed at the member's current clock — set the clock
+   timer is re-placed at the current clock — set the clock
    first. *)
 let replace db tms =
   db.wheel.tq <- rebuild ~clock:db.wheel.clock_ms tms;
   db.wheel.timers_dirty <- true
 
-(* Replay-time clock hop for one member: move the clock while keeping
+(* Replay-time clock hop: move the clock while keeping
    the wheel's placement invariant, delivering nothing. Forward hops
    cascade — safe because a logged clock-only batch implies the
    original execution had no pending due at or below that clock, the
    same advance-to-minimum discipline [advance_to] relies on. Backward
    hops (never emitted by a monotone log, kept for safety) rebuild. *)
-let set_member_clock m c =
-  let from_ = m.wheel.clock_ms in
+let set_clock db c =
+  let from_ = db.wheel.clock_ms in
   if c <> from_ then begin
-    m.wheel.clock_ms <- c;
-    if c > from_ then wheel_advance m.wheel.tq ~from_ ~to_:c
-    else m.wheel.tq <- rebuild ~clock:c (wheel_all m.wheel.tq)
+    db.wheel.clock_ms <- c;
+    if c > from_ then wheel_advance db.wheel.tq ~from_ ~to_:c
+    else db.wheel.tq <- rebuild ~clock:c (wheel_all db.wheel.tq)
   end
-
-(* Rebuild each member's wheel against its current clock. Needed after
-   group recovery maxes member clocks to the group-wide latest: nodes
-   were placed under a member-local (possibly earlier) clock, and the
-   placement invariant is clock-relative. *)
-let resync db =
-  Array.iter
-    (fun m -> m.wheel.tq <- rebuild ~clock:m.wheel.clock_ms (wheel_all m.wheel.tq))
-    (Store.members db)
 
 (* ------------------------------------------------------------------ *)
 (* Eager cancellation                                                  *)
@@ -338,8 +323,7 @@ let resync db =
    order — [Engine] records them in a [U_timers_cancelled] undo entry
    so an abort restores the queue byte-for-byte (seqs preserved). *)
 let cancel_object db oid =
-  let m = Types.owner_db db oid in
-  let w = m.wheel.tq in
+  let w = db.wheel.tq in
   match Hashtbl.find_opt w.tw_index oid with
   | None -> []
   | Some ns ->
@@ -349,14 +333,13 @@ let cancel_object db oid =
         unlink_node w n;
         w.tw_n <- w.tw_n - 1)
       ns;
-    m.wheel.timers_dirty <- true;
+    db.wheel.timers_dirty <- true;
     List.sort cmp_key (List.map (fun n -> n.tn_timer) ns)
 
 (* Cancel the pending timers of one trigger on one object (deactivate,
    or the epoch bump of a re-activation), in (due, seq) order. *)
 let cancel_trigger db oid tname =
-  let m = Types.owner_db db oid in
-  let w = m.wheel.tq in
+  let w = db.wheel.tq in
   match Hashtbl.find_opt w.tw_index oid with
   | None -> []
   | Some ns ->
@@ -370,7 +353,7 @@ let cancel_trigger db oid tname =
           unlink_node w n;
           w.tw_n <- w.tw_n - 1)
         gone;
-      m.wheel.timers_dirty <- true
+      db.wheel.timers_dirty <- true
     end;
     List.sort cmp_key (List.map (fun n -> n.tn_timer) gone)
 
@@ -378,8 +361,7 @@ let cancel_trigger db oid tname =
    the undo of [U_timers_armed]. Absent timers (already delivered or
    cancelled) are ignored. *)
 let cancel_timer db (tm : timer) =
-  let m = Types.owner_db db tm.tm_oid in
-  let w = m.wheel.tq in
+  let w = db.wheel.tq in
   match Hashtbl.find_opt w.tw_index tm.tm_oid with
   | None -> ()
   | Some ns -> (
@@ -387,7 +369,7 @@ let cancel_timer db (tm : timer) =
     | None -> ()
     | Some n ->
       remove_node w n;
-      m.wheel.timers_dirty <- true)
+      db.wheel.timers_dirty <- true)
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
@@ -401,7 +383,7 @@ let first_due (spec : Symbol.time_spec) ~after =
 (* The re-armed incarnation takes a {e fresh} seq: a single queue's
    stable insert puts it after every already-queued timer of the same
    due instant, i.e. in insertion order — which is exactly what the
-   fresh stamp encodes, partitioned or not. *)
+   fresh stamp encodes. *)
 let reschedule db (tm : timer) ~fired_at =
   match tm.tm_spec with
   | Symbol.Every p ->
@@ -422,7 +404,7 @@ let schedule_trigger_timers db obj (at : active_trigger) =
         match l.basic with Symbol.Time spec -> Some spec | _ -> None)
       (Expr.logical_events at.at_def.t_event)
   in
-  let clock = (Types.primary db).wheel.clock_ms in
+  let clock = db.wheel.clock_ms in
   List.fold_left
     (fun armed spec ->
       match first_due spec ~after:clock with
@@ -455,19 +437,19 @@ let timer_alive db (tm : timer) =
 (* Advancing the clock                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* One member's minimum pending timer, if due by [target]. Amortized
-   O(1) (peek cache). *)
-let member_peek m ~target =
-  match wheel_peek m.wheel.tq ~clock:m.wheel.clock_ms with
+(* The minimum pending timer, if due by [target]. Amortized O(1) (peek
+   cache). *)
+let peek db ~target =
+  match wheel_peek db.wheel.tq ~clock:db.wheel.clock_ms with
   | Some n when n.tn_timer.tm_due <= target -> Some n.tn_timer
   | _ -> None
 
-(* Pull every pending timer for one (object, spec, instant) out of one
-   member's queue, in seq order. O(same-instant group): only the
-   level-0 head bucket (plus the recovery-skew past list) is read —
-   never the whole queue. *)
-let member_pull_group m ~due ~oid ~spec =
-  let w = m.wheel.tq in
+(* Pull every pending timer for one (object, spec, instant) out of the
+   queue, in seq order. O(same-instant group): only the level-0 head
+   bucket (plus the recovery-skew past list) is read — never the whole
+   queue. *)
+let pull_group db ~due ~oid ~spec =
+  let w = db.wheel.tq in
   let matches n =
     n.tn_timer.tm_due = due && n.tn_timer.tm_oid = oid
     && n.tn_timer.tm_spec = spec
@@ -485,57 +467,32 @@ let member_pull_group m ~due ~oid ~spec =
      level-0 cursor bucket; the past list only holds recovery skew *)
   let ns = collect (collect [] w.tw_slots.(0).(slot_of 0 due)) w.tw_past in
   List.iter (remove_node w) ns;
-  m.wheel.timers_dirty <- true;
+  db.wheel.timers_dirty <- true;
   List.sort (fun a b -> cmp_key a.tn_timer b.tn_timer) ns
   |> List.map (fun n -> n.tn_timer)
 
-(* The partition-generic merge: the due timers of a group live spread
-   over the member wheels, each member queue a (due, seq)-sorted
-   subsequence of the single-engine queue — so repeatedly taking the
-   member head with the globally smallest (due, seq) replays the exact
-   single-queue delivery order. Unpartitioned, [members] is [[| db |]]
-   and this is the plain head-of-queue loop. *)
+(* The head-of-queue loop: deliver the minimum (due, seq) timer while
+   it is due by [target]. *)
 let advance_to db target =
   if target < db.wheel.clock_ms then ode_error "clock cannot go backwards";
-  let members = Store.members db in
-  let next_head () =
-    let best = ref None in
-    Array.iter
-      (fun m ->
-        match member_peek m ~target with
-        | Some tm -> (
-          match !best with
-          | Some (_, b) when key_lt b tm || (b.tm_due = tm.tm_due && b.tm_seq = tm.tm_seq)
-            -> ()
-          | _ -> best := Some (m, tm))
-        | None -> ())
-      members;
-    !best
-  in
-  let advance_wheels d =
-    Array.iter
-      (fun m ->
-        let c = m.wheel.clock_ms in
-        if d > c then begin
-          wheel_advance m.wheel.tq ~from_:c ~to_:d;
-          m.wheel.clock_ms <- d
-        end)
-      members
+  let advance_wheel d =
+    let c = db.wheel.clock_ms in
+    if d > c then begin
+      wheel_advance db.wheel.tq ~from_:c ~to_:d;
+      db.wheel.clock_ms <- d
+    end
   in
   let rec loop () =
-    match next_head () with
+    match peek db ~target with
     | None -> ()
-    | Some (m, tm) ->
-      advance_wheels tm.tm_due;
+    | Some tm ->
+      advance_wheel tm.tm_due;
       (* Several triggers may watch the same time event on the same
          object; pull every timer for this (object, spec, instant) and
          deliver a single occurrence — logical events are points, and a
          doubled delivery would wrongly feed expressions like
-         [!prior(dayBegin, ...)] twice. Duplicates share the timer's
-         object, so they all live on [m]'s wheel. *)
-      let group =
-        member_pull_group m ~due:tm.tm_due ~oid:tm.tm_oid ~spec:tm.tm_spec
-      in
+         [!prior(dayBegin, ...)] twice. *)
+      let group = pull_group db ~due:tm.tm_due ~oid:tm.tm_oid ~spec:tm.tm_spec in
       if List.exists (timer_alive db) group then begin
         let obs = db.obs in
         if Ode_obs.Registry.enabled obs then begin
@@ -556,7 +513,7 @@ let advance_to db target =
       loop ()
   in
   loop ();
-  advance_wheels target;
+  advance_wheel target;
   (* capture the final clock (and the timer queue, when deliveries or
      reschedules moved it) — each delivery's system transaction emitted
      its own batch mid-loop, but the clock kept advancing after the

@@ -23,13 +23,12 @@ val set_deliver_hook : (db -> oid -> Ode_event.Symbol.time_spec -> unit) -> unit
     fresh system transaction. *)
 
 val insert_timer : db -> timer -> unit
-(** Insert into the wheel of the partition member owning the timer's
-    object (the db itself when unpartitioned); delivery order is (due
-    time, [tm_seq]) — equal due times keep insertion order, group-wide. *)
+(** Insert into the wheel; delivery order is (due time, [tm_seq]) —
+    equal due times keep insertion order. *)
 
 val fresh_seq : db -> int
-(** Allocate the next group-wide insertion stamp (from the facade
-    wheel) for a timer about to be inserted. *)
+(** Allocate the next insertion stamp for a timer about to be
+    inserted. *)
 
 val first_due : Ode_event.Symbol.time_spec -> after:int64 -> int64 option
 (** The first instant strictly after [after] at which the spec is due;
@@ -65,31 +64,25 @@ val cancel_timer : db -> timer -> unit
     the undo of [U_timers_armed]. Ignores timers no longer pending. *)
 
 val pending : db -> timer list
-(** The pending queue of {e this} member (no partition routing), in
-    (due, seq) order — the serialization order. Used by the persist
+(** The pending queue in (due, seq) order — the serialization order. Used by the persist
     codec and the WAL. *)
 
 val pending_count : db -> int
 (** [List.length (pending db)], in O(1). *)
 
 val clear : db -> unit
-(** Drop every pending timer of this member (image load reset). *)
+(** Drop every pending timer (image load reset). *)
 
 val replace : db -> timer list -> unit
-(** Bulk-load this member's queue from a (due, seq)-sorted list (WAL
-    replay): the wheel re-places each timer against the member's
-    current clock — set the clock before calling. *)
+(** Bulk-load the queue from a (due, seq)-sorted list (WAL replay):
+    the wheel re-places each timer against the current clock — set the
+    clock before calling. *)
 
-val set_member_clock : db -> int64 -> unit
-(** Move {e this} member's clock to an absolute instant without
+val set_clock : db -> int64 -> unit
+(** Move the clock to an absolute instant without
     delivering anything, keeping the wheel's clock-relative placement
     invariant (forward hops cascade, backward hops rebuild). WAL replay
     uses this for batches that moved the clock but not the queue. *)
-
-val resync : db -> unit
-(** Rebuild each member's wheel against its current clock — required
-    after group recovery maxes member clocks (wheel placement is
-    clock-relative). *)
 
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in

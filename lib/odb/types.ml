@@ -39,21 +39,7 @@ type db = {
       (* observability registry (counters, latency histograms, trace
          ring). Created disabled; every probe in the layers guards on
          [Ode_obs.Registry.enabled] so the hot path stays untouched. *)
-  mutable part : partition_state option;
-      (* [Some _] when this db is a member of an oid-partitioned engine
-         group ([Engine_group]). Members share the schema, txn, engine
-         and obs records (built by record copy of member 0, the facade
-         handed to callers); each member privately owns its store slice
-         (oids with [oid mod n = p_index]), SoA blocks, timer wheel and
-         durability directory. [None] — the common case — means a plain
-         single-engine database; every routing helper below collapses
-         to the identity then. *)
 }
-
-(* The partition group: members in owner order. Member 0 is the facade
-   — the db callers hold and the home of shared counters (oid/txn
-   allocation, timer sequence numbers, db-scope automata). *)
-and partition_state = { p_members : db array; p_index : int }
 
 (* [Schema]: compiled class and trigger definitions. Written at class
    registration, read-only on the posting hot path. *)
@@ -66,8 +52,7 @@ and schema_state = {
          definitions whose alphabet can react, in declaration order *)
 }
 
-(* [Store]: the object heap. One hashtable per database (per partition
-   member: each member owns the slice of oids it is routed). *)
+(* [Store]: the object heap. One hashtable per database. *)
 and store_state = {
   heap : (oid, obj) Hashtbl.t;  (* stored objects, delete-marked included *)
   mutable next_oid : int;
@@ -121,8 +106,7 @@ and engine_state = {
          batch loop is checked against it too. *)
   mutable scratch : scratch option;
       (* the reusable classify/step buffer, built lazily by [Engine] and
-         shared by [post] and [post_many] (one partition group shares
-         one engine record, hence one scratch) *)
+         shared by [post] and [post_many] *)
   kind_names : (Symbol.basic, string) Hashtbl.t;
       (* memoized pretty-printed basic-event keys for the observability
          probes ([Format.asprintf] per post would dominate the enabled
@@ -160,9 +144,7 @@ and wheel_state = {
          load), cleared when a durability batch captures the queue — so
          WAL batches only carry the timer queue when it moved *)
   mutable tm_next_seq : int;
-      (* group-wide insertion counter stamping [tm_seq]; only the
-         facade's copy is read, so equal-due timers scattered across
-         member wheels merge back in exactly the single-engine order *)
+      (* insertion counter stamping [tm_seq] *)
 }
 
 (* The pending-timer structure: a hierarchical hashed timing wheel
@@ -363,10 +345,9 @@ and undo_entry =
 and timer = {
   tm_due : int64;
   tm_seq : int;
-      (* insertion order among equal due times, allocated group-wide
-         from the facade wheel — the tiebreak that keeps the merged
-         delivery order of partitioned wheels identical to the single
-         queue (and survives a save/load round trip) *)
+      (* insertion order among equal due times — the tiebreak that
+         keeps delivery order stable (and survives a save/load round
+         trip) *)
   tm_oid : oid;
   tm_trigger : string;
   tm_epoch : int;
@@ -429,16 +410,6 @@ let make_wheel () =
     tw_index = Hashtbl.create 64;
   }
 
-(* An empty heap slice; [Engine_group] builds one per partition member. *)
-let make_store ~next_oid =
-  {
-    heap = Hashtbl.create 64;
-    next_oid;
-    n_live = 0;
-    history_limit = 0;
-    soa = Hashtbl.create 8;
-  }
-
 (* The composition root: every layer's state record, initialized empty.
    Lives here because only the knot module sees all the sub-records. *)
 let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
@@ -454,7 +425,14 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
           db_trigger_defs = Hashtbl.create 4;
           db_dispatch = Hashtbl.create 8;
         };
-      store = make_store ~next_oid:1;
+      store =
+        {
+          heap = Hashtbl.create 64;
+          next_oid = 1;
+          n_live = 0;
+          history_limit = 0;
+          soa = Hashtbl.create 8;
+        };
       txns =
         {
           next_txn_id = 1;
@@ -481,34 +459,11 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
         };
       durability;
       obs = Ode_obs.Registry.create ~trace_capacity ();
-      part = None;
     }
   in
   db
 
-(* ------------------------------------------------------------------ *)
-(* Partition routing                                                  *)
-(*                                                                    *)
-(* The only group-awareness the inner layers need: which member owns  *)
-(* an oid's heap slice, and where the shared counters live. Both are  *)
-(* the identity for an unpartitioned db, so every existing call path  *)
-(* pays one [match] and nothing else.                                 *)
-(* ------------------------------------------------------------------ *)
-
-let n_partitions db =
-  match db.part with Some p -> Array.length p.p_members | None -> 1
-
-(* The facade: member 0, home of group-wide counters and the db-scope
-   automata. Identity when unpartitioned. *)
-let primary db = match db.part with Some p -> p.p_members.(0) | None -> db
-
-(* The member whose store/wheel slice owns this oid. *)
-let owner_db db oid =
-  match db.part with
-  | Some p -> p.p_members.(oid mod Array.length p.p_members)
-  | None -> db
-
-(* Pending timers in one member's queue, O(1). Lives here (not
+(* Pending timers in the queue, O(1). Lives here (not
    [Timewheel]) so [Store.stats] can count timers without a circular
    dependency. *)
 let timerq_count w = w.tq.tw_n

@@ -227,7 +227,7 @@ let apply_batch db payload =
   let r = Codec.reader payload in
   db.store.next_oid <- Codec.read_int r;
   db.txns.next_txn_id <- Codec.read_int r;
-  Timewheel.set_member_clock db (Int64.of_int (Codec.read_int r));
+  Timewheel.set_clock db (Int64.of_int (Codec.read_int r));
   let n = Codec.read_int r in
   for _ = 1 to n do
     match Codec.read_int r with
@@ -244,14 +244,7 @@ let apply_batch db payload =
   | Some timers ->
     (* the clock was set above, so wheel placement is already right *)
     Timewheel.replace db timers;
-    (* replayed timers keep their saved insertion stamps; the group-wide
-       counter must resume past them *)
-    let pr = Types.primary db in
-    List.iter
-      (fun tm ->
-        if tm.tm_seq >= pr.wheel.tm_next_seq then
-          pr.wheel.tm_next_seq <- tm.tm_seq + 1)
-      timers
+    Persist.bump_seq_counter db timers
   | None -> ()
 
 (* Decoded shape for [odec wal-dump] — framing plus a per-batch summary,
@@ -300,45 +293,16 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* ------------------------------------------------------------------ *)
-(* Partition groups on disk                                            *)
-(* ------------------------------------------------------------------ *)
-
-(* A partitioned database logs each member's slice into its own
-   subdirectory [<dir>/p<k>] (its own generations, snapshots and log),
-   with a one-line manifest at the group root naming the partition
-   count — recovery refuses a directory written by a different layout
-   instead of silently merging slices wrongly. *)
-
-let member_dir dir k = Filename.concat dir (Printf.sprintf "p%d" k)
-let manifest_path dir = Filename.concat dir "group-manifest"
-let manifest_magic = "ODEGROUP1"
-
-let write_manifest dir ~partitions =
-  mkdir_p dir;
-  Codec.to_file (manifest_path dir)
-    (Printf.sprintf "%s partitions=%d\n" manifest_magic partitions)
-
-let read_manifest dir =
-  if not (Sys.file_exists (manifest_path dir)) then None
-  else
-    try
-      Scanf.sscanf
-        (Codec.of_file (manifest_path dir))
-        "ODEGROUP1 partitions=%d"
-        (fun n -> Some n)
-    with Scanf.Scan_failure _ | Failure _ | End_of_file ->
-      ode_error "WAL group manifest in %s is malformed" dir
-
-let check_manifest dir ~partitions =
-  match read_manifest dir with
-  | None -> write_manifest dir ~partitions
-  | Some n when n = partitions -> ()
-  | Some n ->
+(* A directory holding a [group-manifest] was written by the old
+   partitioned engine: one log per oid slice under [p<k>/]. Refuse it —
+   attaching would baseline an empty snapshot beside the slices and the
+   data would silently vanish. *)
+let refuse_partitioned dir =
+  if Sys.file_exists (Filename.concat dir "group-manifest") then
     ode_error
-      "WAL directory %s was written with %d partitions, refusing to attach \
-       with %d (ODE_PARTITIONS)"
-      dir n partitions
+      "WAL directory %s holds a partitioned log (group-manifest); \
+       partitioned logs are no longer supported"
+      dir
 
 let write_all fd s =
   let n = String.length s in
@@ -420,6 +384,7 @@ let emit st db oids =
   end
 
 let attach st db =
+  refuse_partitioned st.cfg.dir;
   mkdir_p st.cfg.dir;
   match latest_gen st.cfg.dir with
   | Some g ->
@@ -439,6 +404,7 @@ let attach st db =
 let recover st db =
   if db.txns.open_txns <> [] then
     ode_error "cannot recover with open transactions";
+  refuse_partitioned st.cfg.dir;
   match latest_gen st.cfg.dir with
   | None -> ode_error "no WAL state to recover in %s" st.cfg.dir
   | Some g ->
@@ -461,11 +427,7 @@ let recover st db =
        nothing is ever appended after damage *)
     checkpoint st db
 
-(* [backend], plus the explicit checkpoint entry point [Engine_group]'s
-   group save/load needs: a group checkpoint writes the merged image
-   for the caller but must re-baseline each member's own log on the
-   member's {e slice} — which is [checkpoint], not [dur_save]. *)
-let member_backend cfg =
+let backend cfg =
   let st =
     {
       cfg;
@@ -477,11 +439,6 @@ let member_backend cfg =
       closed = false;
     }
   in
-  ( (fun db -> checkpoint st db),
-    fun db ->
-      Buffer.clear st.pending;
-      st.pending_batches <- 0;
-      checkpoint st db ),
   {
     dur_name = "wal:" ^ cfg.dir;
     dur_attach = (fun db -> attach st db);
@@ -510,5 +467,3 @@ let member_backend cfg =
           st.closed <- true
         end);
   }
-
-let backend cfg = snd (member_backend cfg)

@@ -56,33 +56,10 @@ val backend : config -> durability_backend
     the directory already holds WAL state — arms on the latest
     generation and defers to an explicit [dur_recover] (register the
     classes first). [dur_save] writes the caller's image {e and}
-    checkpoints; [dur_load] re-baselines the log on the loaded state. *)
-
-val member_backend :
-  config -> ((db -> unit) * (db -> unit)) * durability_backend
-(** What {!backend} is built from, with the instance's checkpoint
-    entry points exposed for [Engine_group]'s per-partition logs:
-    [(checkpoint, rebaseline), backend]. [checkpoint db] flushes and
-    rolls the generation (snapshotting [db]'s own slice);
-    [rebaseline db] additionally drops buffered batches first — what a
-    group [dur_load] needs after replacing the state under the log. *)
-
-(** {1 Partition-group layout} *)
-
-val member_dir : string -> int -> string
-(** [member_dir dir k] — partition [k]'s own log directory,
-    [<dir>/p<k>]. *)
-
-val write_manifest : string -> partitions:int -> unit
-val read_manifest : string -> int option
-(** The one-line [group-manifest] at a partitioned database's log
-    root, recording the partition count the directory was written
-    with. [read_manifest] is [None] when absent and raises
-    {!Types.Ode_error} when malformed. *)
-
-val check_manifest : string -> partitions:int -> unit
-(** Write the manifest if absent; raise {!Types.Ode_error} if present
-    with a different partition count. *)
+    checkpoints; [dur_load] re-baselines the log on the loaded state.
+    [dur_attach] and [dur_recover] raise {!Types.Ode_error}, touching
+    nothing, on a directory holding a [group-manifest]: the layout of
+    the old partitioned engine, which is no longer supported. *)
 
 (** {1 Introspection — recovery, the crash harness, [odec wal-dump]} *)
 

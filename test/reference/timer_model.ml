@@ -36,21 +36,10 @@ let clear m = m.q <- []
 
 type delivery = { d_oid : oid; d_due : int64 }
 
-let advance_to ms ~owner ~target ~alive ~reschedule =
-  let next_head () =
-    Array.fold_left
-      (fun best m ->
-        match (m.q, best) with
-        | tm :: _, Some (_, b) when tm.tm_due <= target && not (key_le b tm) ->
-          Some (m, tm)
-        | tm :: _, None when tm.tm_due <= target -> Some (m, tm)
-        | _ -> best)
-      None ms
-  in
+let advance_to m ~target ~alive ~reschedule =
   let rec loop acc =
-    match next_head () with
-    | None -> List.rev acc
-    | Some (m, tm) ->
+    match m.q with
+    | tm :: _ when tm.tm_due <= target ->
       let group =
         cancel_where m (fun t ->
             t.tm_due = tm.tm_due && t.tm_oid = tm.tm_oid && t.tm_spec = tm.tm_spec)
@@ -63,10 +52,9 @@ let advance_to ms ~owner ~target ~alive ~reschedule =
       List.iter
         (fun t ->
           if alive t then
-            match reschedule t with
-            | Some t' -> insert ms.(owner t'.tm_oid) t'
-            | None -> ())
+            match reschedule t with Some t' -> insert m t' | None -> ())
         group;
       loop acc
+    | _ -> List.rev acc
   in
   loop []

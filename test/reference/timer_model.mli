@@ -1,12 +1,12 @@
 (** The sorted-list timer queue, kept as the model the timing wheel is
     pinned against.
 
-    One model queue stands for one partition member's wheel: a flat
-    list sorted by (due, seq) — O(n) arming, trivially correct. Each
+    One model queue stands for the database's wheel: a flat list sorted
+    by (due, seq) — O(n) arming, trivially correct. Each
     function mirrors the [Timewheel] entry point of the same name, so a
     test can apply one operation to both and compare
     [Timewheel.pending] with {!pending} after every step. Timer seqs are
-    unique within a group, so matching a timer by its (due, seq) key is
+    unique, so matching a timer by its (due, seq) key is
     matching it by identity. *)
 
 open Ode_odb.Types
@@ -34,15 +34,13 @@ val clear : t -> unit
 type delivery = { d_oid : oid; d_due : int64 }
 
 val advance_to :
-  t array ->
-  owner:(oid -> int) ->
+  t ->
   target:int64 ->
   alive:(timer -> bool) ->
   reschedule:(timer -> timer option) ->
   delivery list
-(** [Timewheel.advance_to] over member queues: repeatedly take the
-    globally smallest (due, seq) head due by [target], pull every timer
-    of that member with the same (due, object, spec), record one
-    delivery if any of them is [alive], and re-insert each live one's
-    [reschedule] into the queue [owner] names. Returns the deliveries
-    in order. [alive] must not change while this runs. *)
+(** [Timewheel.advance_to] on the list: repeatedly take the (due, seq)
+    head due by [target], pull every timer with the same (due, object,
+    spec), record one delivery if any of them is [alive], and re-insert
+    each live one's [reschedule]. Returns the deliveries in order.
+    [alive] must not change while this runs. *)

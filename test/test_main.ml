@@ -20,7 +20,6 @@ let () =
       ("facade", Test_facade.suite);
       ("dispatch", Test_dispatch.suite);
       ("shard", Test_shard.suite);
-      ("partition", Test_partition.suite);
       ("alloc", Test_alloc.suite);
       ("time-events", Test_time.suite);
       ("timer", Test_timer.suite);

@@ -784,7 +784,7 @@ let test_config_of_env () =
       ignore
         (D.create_db
            ~config:
-             { D.Config.default with D.Config.max_tcomplete_rounds = 0; partitions = 2 }
+             { D.Config.default with D.Config.max_tcomplete_rounds = 0 }
            ()))
 
 (* Out-of-range serve knobs are refused by [Server.create], naming the
@@ -880,9 +880,9 @@ let test_config_overrides () =
       Alcotest.(check bool)
         (Printf.sprintf "summary mentions %s" needle)
         true (contains needle))
-    [ "durability=image"; "partitions=1"; "obs=off" ];
-  Alcotest.(check bool) "no store or domain knobs" false
-    (contains "backend=" || contains "domain")
+    [ "durability=image"; "obs=off" ];
+  Alcotest.(check bool) "no store, domain or partition knobs" false
+    (contains "backend=" || contains "domain" || contains "partitions=")
 
 (* ------------------------------------------------------------------ *)
 

@@ -355,67 +355,52 @@ let test_unsubscribe_during_delivery () =
 
 (* Counters must stay {e exact} — not approximate — through
    [post_many]'s scratch accumulators, which batch the classify/step
-   counter bumps and flush them once per batch, on a single engine and
-   on a 3-member engine group sharing one registry. 16 objects × 25
-   pings: every counter is pinned to its computed truth, and the two
-   runs must agree bit for bit. *)
-let test_exact_counters_under_partitions () =
-  let run partitions =
-    let db =
-      D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
-    in
-    let b = D.define_class "c" in
-    let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
-    let b =
-      D.trigger_str b ~perpetual:true "hit" ~event:"after ping"
-        ~action:(fun _ _ -> ())
-    in
-    D.register_class db b;
-    let oids =
-      expect_ok
-        (D.with_txn db (fun _ ->
-             List.init 16 (fun _ ->
-                 let oid = D.create db "c" [] in
-                 D.activate db oid "hit" [];
-                 oid)))
-    in
-    D.set_observability db true;
-    let batch =
-      List.concat_map
-        (fun oid ->
-          List.init 25 (fun _ -> (oid, Symbol.Method (Symbol.After, "ping"), [])))
-        oids
-    in
-    let fired = ref 0 in
-    expect_ok (D.with_txn db (fun _ -> fired := D.post_many db batch));
-    let obs = D.observe db in
-    ( !fired,
-      List.map (fun c -> (Obs.counter_name c, Obs.get obs c)) Obs.all_counters,
-      Obs.posts_by_kind obs )
+   counter bumps and flush them once per batch. 16 objects × 25 pings:
+   every counter is pinned to its computed truth. *)
+let test_exact_counters_post_many () =
+  let db = D.create_db ~config:D.Config.default () in
+  let b = D.define_class "c" in
+  let b = D.method_ b ~kind:D.Updating "ping" (fun _ _ _ -> Value.Unit) in
+  let b =
+    D.trigger_str b ~perpetual:true "hit" ~event:"after ping"
+      ~action:(fun _ _ -> ())
   in
-  let f1, c1, k1 = run 1 in
-  let f3, c3, k3 = run 3 in
-  Alcotest.(check int) "1-partition firings" 400 f1;
-  Alcotest.(check int) "3-partition firings" 400 f3;
-  let get name l = List.assoc name l in
+  D.register_class db b;
+  let oids =
+    expect_ok
+      (D.with_txn db (fun _ ->
+           List.init 16 (fun _ ->
+               let oid = D.create db "c" [] in
+               D.activate db oid "hit" [];
+               oid)))
+  in
+  D.set_observability db true;
+  let batch =
+    List.concat_map
+      (fun oid ->
+        List.init 25 (fun _ -> (oid, Symbol.Method (Symbol.After, "ping"), [])))
+      oids
+  in
+  let fired = ref 0 in
+  expect_ok (D.with_txn db (fun _ -> fired := D.post_many db batch));
+  let obs = D.observe db in
+  let get c = Obs.get obs c in
+  Alcotest.(check int) "firings" 400 !fired;
   (* 400 pings + 16 each of tbegin / tcomplete / tcommit *)
-  List.iter
-    (fun c ->
-      Alcotest.(check int) "posts" 448 (get "posts" c);
-      Alcotest.(check int) "classified" 400 (get "classified" c);
-      Alcotest.(check int) "transitions" 400 (get "transitions" c);
-      Alcotest.(check int) "firings counter" 400 (get "firings" c);
-      Alcotest.(check int) "tcomplete rounds" 1 (get "tcomplete_rounds" c))
-    [ c1; c3 ];
-  Alcotest.(check (list (pair string int)))
-    "counters identical across partition counts" c1 c3;
-  Alcotest.(check (list (pair string int))) "kind table identical" k1 k3
+  Alcotest.(check int) "posts" 448 (get Obs.Posts);
+  Alcotest.(check int) "classified" 400 (get Obs.Classified);
+  Alcotest.(check int) "transitions" 400 (get Obs.Transitions);
+  Alcotest.(check int) "firings counter" 400 (get Obs.Firings);
+  Alcotest.(check int) "tcomplete rounds" 1 (get Obs.Tcomplete_rounds);
+  let by_kind = Obs.posts_by_kind obs in
+  Alcotest.(check (option int)) "after ping kind" (Some 400)
+    (List.assoc_opt (kind (Symbol.Method (Symbol.After, "ping"))) by_kind)
 
 let suite =
   [
     Alcotest.test_case "pinned pipeline counters" `Quick test_pinned_counters;
-    Alcotest.test_case "exact counters under partitions 1 and 3" `Quick
-      test_exact_counters_under_partitions;
+    Alcotest.test_case "exact counters through post_many" `Quick
+      test_exact_counters_post_many;
     Alcotest.test_case "timing gate" `Quick test_timing_gate;
     Alcotest.test_case "scan-path counters" `Quick test_scan_path_counters;
     Alcotest.test_case "disabled = all zeros" `Quick test_disabled_counts_nothing;

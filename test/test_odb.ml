@@ -600,6 +600,30 @@ let test_stats () =
   Alcotest.(check int) "activations" 5 s.D.n_active_triggers;
   Alcotest.(check int) "8 bytes per activation" 40 s.D.state_bytes
 
+(* An empty batch is a no-op at the engine layer: it still requires a
+   transaction, but posts nothing, fires nothing and, under WAL
+   durability, logs nothing. *)
+let test_empty_post_many () =
+  let dir = Filename.temp_file "ode_odb" "" in
+  Sys.remove dir;
+  let wal = Ode_odb.Wal.config ~flush_ms:0 ~sync_on_flush:false dir in
+  let db = D.create_db ~config:{ D.Config.default with D.Config.durability = `Wal wal } () in
+  D.register_class db (counter_class ());
+  D.set_observability db true;
+  (match D.post_many db [] with
+  | _ -> Alcotest.fail "expected Ode_error outside a transaction"
+  | exception D.Ode_error _ -> ());
+  let get c = Ode_obs.Registry.get (D.observe db) c in
+  expect_ok
+    (D.with_txn db (fun _ ->
+         let posts = get Ode_obs.Registry.Posts in
+         let batches = get Ode_obs.Registry.Wal_batches in
+         Alcotest.(check int) "no-op batch" 0 (D.post_many db []);
+         Alcotest.(check int) "posts nothing" posts (get Ode_obs.Registry.Posts);
+         Alcotest.(check int) "logs nothing" batches
+           (get Ode_obs.Registry.Wal_batches)));
+  D.close_durability db
+
 let suite =
   [
     Alcotest.test_case "create/call/commit" `Quick test_basics;
@@ -626,4 +650,5 @@ let suite =
     Alcotest.test_case "state events (bare boolean)" `Quick test_state_event_trigger;
     Alcotest.test_case "witness triggers (§9 provenance)" `Quick test_witness_trigger;
     Alcotest.test_case "stats" `Quick test_stats;
+    Alcotest.test_case "empty post_many" `Quick test_empty_post_many;
   ]

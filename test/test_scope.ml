@@ -52,6 +52,34 @@ let test_creation_census () =
   expect_ok (D.with_txn db (fun _ -> D.delete db (List.hd oids)));
   Alcotest.(check int) "delete observed" 1 !deleted
 
+(* Two database-scope automata stepped by object events: a [sequence]
+   (a creation, then a deletion — of any objects) and [choose 3]
+   (every third creation, the perpetual trigger re-arming after each
+   firing). The exact (trigger, oid) firing list is pinned, in order. *)
+let test_db_sequence_and_choose () =
+  let db = D.create_db () in
+  let fired = ref [] in
+  D.register_class db (widget_class "w");
+  D.db_trigger_str db ~perpetual:true "seq" ~event:"after create ; before delete"
+    ~action:(fun _ ctx -> fired := ("seq", ctx.D.fc_oid) :: !fired);
+  D.activate_db_trigger db "seq" [];
+  D.db_trigger_str db ~perpetual:true "third" ~event:"choose 3 (after create)"
+    ~action:(fun _ ctx -> fired := ("third", ctx.D.fc_oid) :: !fired);
+  D.activate_db_trigger db "third" [];
+  let oids =
+    expect_ok (D.with_txn db (fun _ -> List.init 4 (fun _ -> D.create db "w" [])))
+  in
+  expect_ok (D.with_txn db (fun _ -> D.delete db (List.nth oids 1)));
+  expect_ok (D.with_txn db (fun _ -> ignore (D.create db "w" [])));
+  expect_ok (D.with_txn db (fun _ -> ignore (D.create db "w" [])));
+  expect_ok (D.with_txn db (fun _ -> D.delete db (List.nth oids 3)));
+  (* choose 3 denotes the third creation of the whole history only; the
+     sequence re-arms on the creations after its first firing *)
+  Alcotest.(check (list (pair string int)))
+    "firings, in order"
+    [ ("third", List.nth oids 2); ("seq", List.nth oids 1); ("seq", List.nth oids 3) ]
+    (List.rev !fired)
+
 let test_db_trigger_masks () =
   (* the mask filters by class name through the occurrence argument *)
   let db = D.create_db () in
@@ -297,6 +325,8 @@ let suite =
     Alcotest.test_case "schema events" `Quick test_schema_events;
     Alcotest.test_case "creation census" `Quick test_creation_census;
     Alcotest.test_case "db-scope masks" `Quick test_db_trigger_masks;
+    Alcotest.test_case "db-scope sequence and choose-n" `Quick
+      test_db_sequence_and_choose;
     Alcotest.test_case "db-scope witnesses" `Quick test_db_witnesses;
     QCheck_alcotest.to_alcotest db_witness_parity;
     Alcotest.test_case "history recording (§9)" `Quick test_history_recording;

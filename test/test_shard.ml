@@ -7,8 +7,7 @@
    transaction scripts with commits, aborts, deletes and simulated-time
    advances. Likewise for [post_many] batches, exact observability
    counters included: the stepper steps a batch with its own loop, so
-   the kernel's batch loop is pinned too. The runners are shared with
-   test_partition.ml, which compares partition counts.
+   the kernel's batch loop is pinned too.
 
    Directed tests below cover the Store surface: [cardinal]/[mem], the
    ascending-oid enumeration contract and delete/abort bookkeeping. *)
@@ -47,25 +46,11 @@ let trigger_names case = List.mapi (fun i _ -> Printf.sprintf "t%d" i) case.trig
 (* Build the schema, run every script, and summarise everything two
    posting paths could disagree on. Nothing is sorted: the {e order} of
    firings and logged actions is part of the contract. *)
-(* [partitions]: [None] follows the environment (the default, like
-   every other test); [Some n] pins an n-member engine group — the
-   partition-equivalence properties in test_partition.ml run this same
-   workload at several counts and compare. Pinning also pins [`Image]
-   durability: partitioning is transparent to every logical observable,
-   but {e how many} WAL batches a commit emits is per-member layout. *)
-let create_db ?partitions () =
-  match partitions with
-  | None -> D.create_db ()
-  | Some n ->
-    D.create_db
-      ~config:{ (D.Config.of_env ()) with D.Config.partitions = n; durability = `Image }
-      ()
-
 (* [stepper]: [None] runs the posting kernel, [Some mode] the reference
    stepper ([Ode_reference.Stepper]) in that mode. *)
-let run ?stepper ?partitions case =
+let run ?stepper case =
   let log = ref [] in
-  let db = create_db ?partitions () in
+  let db = D.create_db () in
   Option.iter (Stepper.install db) stepper;
   let firings_log = ref [] in
   let _sub = D.subscribe_firings db (fun f -> firings_log := f :: !firings_log) in
@@ -178,9 +163,9 @@ let n_batch_objects = 8
 (* Run both batches through [post_many] — the second in a transaction
    that aborts, exercising the batch's committed-mode undo snapshots —
    and summarise every observable, the exact counters included. *)
-let run_batch ?stepper ?partitions case =
+let run_batch ?stepper case =
   let log = ref [] in
-  let db = create_db ?partitions () in
+  let db = D.create_db () in
   Option.iter (Stepper.install db) stepper;
   D.set_observability db true;
   let firings_log = ref [] in
@@ -248,8 +233,8 @@ let run_batch ?stepper ?partitions case =
       (fun (f : D.firing) -> (f.D.f_trigger, f.D.f_oid, f.D.f_txn))
       (List.rev !firings_log)
   in
-  (* the persist image pins the exact post-batch state words: a path or
-     partition switch that corrupted even one automaton cell would
+  (* the persist image pins the exact post-batch state words: a path
+     switch that corrupted even one automaton cell would
      change the bytes *)
   let image =
     let tmp = Filename.temp_file "ode_shard" ".img" in
@@ -456,31 +441,26 @@ let simple_class () =
 let simple_schema_class () =
   Schema.field (Schema.define_class "c") "x" (Value.Int 0)
 
-(* [cardinal]/[mem]/enumeration through the facade, on a single engine
-   and on a 3-member engine group: committed deletes keep the record
-   (mem true, default cardinal counts it) but leave the live count and
+(* [cardinal]/[mem]/enumeration through the facade, after a batch of
+   creates and after a delete: committed deletes keep the record (mem
+   true, default cardinal counts it) but leave the live count and
    listings. *)
 let test_store_primitives () =
-  List.iter
-    (fun partitions ->
-      let db =
-        D.create_db ~config:{ D.Config.default with D.Config.partitions } ()
-      in
-      D.register_class db (simple_class ());
-      let oids =
-        expect_ok
-          (D.with_txn db (fun _ -> List.init 10 (fun _ -> D.create db "c" [])))
-      in
-      Alcotest.(check (list int)) "ascending enumeration" oids (D.objects db);
-      expect_ok (D.with_txn db (fun _ -> D.delete db (List.nth oids 3)));
-      let s = D.stats db in
-      Alcotest.(check int) "live count after delete" 9 s.D.n_objects;
-      Alcotest.(check (list int))
-        "listing skips deleted"
-        (List.filter (fun o -> o <> List.nth oids 3) oids)
-        (D.objects db);
-      Alcotest.(check bool) "exists false" false (D.exists db (List.nth oids 3)))
-    [ 1; 3 ]
+  let db = D.create_db ~config:D.Config.default () in
+  D.register_class db (simple_class ());
+  let oids =
+    expect_ok
+      (D.with_txn db (fun _ -> List.init 10 (fun _ -> D.create db "c" [])))
+  in
+  Alcotest.(check (list int)) "ascending enumeration" oids (D.objects db);
+  expect_ok (D.with_txn db (fun _ -> D.delete db (List.nth oids 3)));
+  let s = D.stats db in
+  Alcotest.(check int) "live count after delete" 9 s.D.n_objects;
+  Alcotest.(check (list int))
+    "listing skips deleted"
+    (List.filter (fun o -> o <> List.nth oids 3) oids)
+    (D.objects db);
+  Alcotest.(check bool) "exists false" false (D.exists db (List.nth oids 3))
 
 let test_store_layer_cardinal_mem () =
   let db = Types.make_db () in
@@ -512,7 +492,7 @@ let test_store_layer_cardinal_mem () =
 
 let suite =
   [
-    Alcotest.test_case "store primitives on both bare and partitioned databases"
+    Alcotest.test_case "store primitives on both batch creates and deletes"
       `Quick test_store_primitives;
     Alcotest.test_case "cardinal and mem" `Quick test_store_layer_cardinal_mem;
   ]

@@ -7,17 +7,7 @@
 
 open Ode_odb
 
-module D = struct
-  include Database
-
-  (* this suite drives the single-engine WAL internals (it reads
-     snap-<g>.ode1 / wal-<g>.log at the directory root and cuts the log
-     by hand), so pin partitions = 1 whatever ODE_PARTITIONS says —
-     the partitioned WAL layout is covered by test_partition.ml *)
-  let create_db ?durability () =
-    let c = { (Config.of_env ()) with Config.partitions = 1 } in
-    create_db ~config:c ?durability ()
-end
+module D = Database
 
 module Value = Ode_base.Value
 module Codec = Ode_base.Codec
@@ -388,8 +378,60 @@ let test_scan_damage_classification () =
   | { Wal.damage = Some Wal.Bad_header; _ } -> ()
   | _ -> Alcotest.fail "expected a header failure"
 
+(* A directory written by the old partitioned engine — a
+   [group-manifest] at the root, one log per oid slice under [p<k>/] —
+   must be refused, not attached: attaching would baseline an empty
+   snapshot beside the slices and lose their data without an error.
+   The refusal touches nothing. *)
+let test_refuses_partitioned_dir () =
+  let dir = fresh_dir () in
+  Codec.to_file (Filename.concat dir "group-manifest") "ODEGROUP1 partitions=3\n";
+  List.iter
+    (fun k ->
+      let p = Filename.concat dir (Printf.sprintf "p%d" k) in
+      Unix.mkdir p 0o755;
+      Codec.to_file (Wal.snap_path p 0) (Printf.sprintf "slice %d" k);
+      Codec.to_file (Wal.wal_path p 0) Wal.header)
+    [ 0; 1; 2 ];
+  let rec listing d =
+    Sys.readdir d |> Array.to_list |> List.sort compare
+    |> List.concat_map (fun n ->
+           let p = Filename.concat d n in
+           if Sys.is_directory p then (p, "<dir>") :: listing p
+           else [ (p, Codec.of_file p) ])
+  in
+  let before = listing dir in
+  let refused dir msg =
+    let contains needle =
+      let nl = String.length needle and hl = String.length msg in
+      let rec go i = i + nl <= hl && (String.sub msg i nl = needle || go (i + 1)) in
+      go 0
+    in
+    Alcotest.(check bool) "error names the directory" true (contains dir);
+    Alcotest.(check bool) "error says why" true (contains "no longer supported")
+  in
+  (match
+     let db = D.create_db ~durability:(`Wal (Wal.config dir)) () in
+     D.register_class db (schema ());
+     D.recover db
+   with
+  | () -> Alcotest.fail "expected the partitioned directory to be refused"
+  | exception D.Ode_error msg -> refused dir msg);
+  Alcotest.(check (list (pair string string)))
+    "directory untouched" before (listing dir);
+  (* recover refuses too, should a manifest appear after attach *)
+  let dir2 = fresh_dir () in
+  let db = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
+  D.register_class db (schema ());
+  Codec.to_file (Filename.concat dir2 "group-manifest") "ODEGROUP1 partitions=2\n";
+  match D.recover db with
+  | () -> Alcotest.fail "expected recover to refuse the partitioned directory"
+  | exception D.Ode_error msg -> refused dir2 msg
+
 let suite =
   [
+    Alcotest.test_case "refuses a partitioned log directory" `Quick
+      test_refuses_partitioned_dir;
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
