@@ -973,8 +973,10 @@ let smoke () =
   pf "smoke ok (post_many: %d uniform, %d contended firings).@." f1 c1;
   (* WAL crash-injection smoke: 50 randomized kill points over a logged
      workload must each recover to the exact shadow image captured when
-     the last surviving batch was emitted (the full 500-point harness
-     with behavioural probes lives in test/test_wal.ml). *)
+     the last surviving batch was emitted (the full harnesses with
+     behavioural probes live in test/test_wal.ml). The periodic [beat]
+     trigger and the clock advances put timer delta records in the
+     log. *)
   let module Wal = Ode_odb.Wal in
   let module Persist = Ode_odb.Persist in
   let module Codec = Ode_base.Codec in
@@ -993,7 +995,12 @@ let smoke () =
             (Value.add (D.get_field db oid "q") (Value.Int 1));
           Value.Unit)
     in
-    D.trigger_str b ~perpetual:true "seq" ~event:"after bump; after bump"
+    let b =
+      D.trigger_str b ~perpetual:true "seq" ~event:"after bump; after bump"
+        ~action:(fun _ _ -> ())
+    in
+    (* a periodic time event, so the log carries timer records *)
+    D.trigger_str b ~perpetual:true "beat" ~event:"every time(MS=20)"
       ~action:(fun _ _ -> ())
   in
   let dir = fresh_dir () in
@@ -1016,6 +1023,7 @@ let smoke () =
       | _ ->
         let o = D.create wdb "w" [] in
         D.activate wdb o "seq" [];
+        D.activate wdb o "beat" [];
         o
     in
     ignore (D.call wdb oid "bump" []);
@@ -1028,6 +1036,16 @@ let smoke () =
   let log = Codec.of_file (Wal.wal_path dir 0) in
   let snap = Codec.of_file (Wal.snap_path dir 0) in
   let hdr = String.length Wal.header in
+  let deltas =
+    List.length
+      (List.filter
+         (fun f ->
+           match (Wal.decode_summary f).Wal.s_timers with
+           | Wal.Delta _ -> true
+           | _ -> false)
+         (Wal.scan_bytes log).Wal.frames)
+  in
+  if deltas = 0 then failwith "crash smoke: the log holds no timer delta record";
   for point = 1 to 50 do
     let cut = hdr + Random.State.int rng (String.length log - hdr + 1) in
     let damaged = String.sub log 0 cut in
@@ -1047,8 +1065,8 @@ let smoke () =
            point cut n)
   done;
   pf "crash smoke ok (50/50 kill points recovered byte-identical, %d batches \
-      logged).@."
-    (Array.length shadows);
+      logged, %d with timer deltas).@."
+    (Array.length shadows) deltas;
   (* wire smoke: an in-process server, two clients over loopback, a
      subscriber that must see firings, a clean stop *)
   let module Server = Ode_net.Server in

@@ -296,8 +296,10 @@ let cmd_wal_dump path =
             i !offset (String.length payload) s.Wal.s_next_oid s.Wal.s_next_txn
             s.Wal.s_clock_ms
             (match s.Wal.s_timers with
-            | None -> ""
-            | Some n -> Fmt.str " timers=%d" n);
+            | Wal.No_timers -> ""
+            | Wal.Full n -> Fmt.str " timers=%d" n
+            | Wal.Delta { added; removed } ->
+              Fmt.str " timers +%d -%d" added removed);
           List.iter
             (function
               | Wal.Upsert { oid; class_name; n_triggers } ->

@@ -38,6 +38,8 @@ let read_int r =
   let u = loop 0 0 in
   (u lsr 1) lxor (-(u land 1))
 
+let write_byte w b = Buffer.add_char w (Char.chr b)
+
 let write_bool w b = Buffer.add_char w (if b then '\001' else '\000')
 
 let read_bool r =

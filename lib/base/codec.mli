@@ -20,6 +20,11 @@ val at_end : reader -> bool
 val write_int : writer -> int -> unit
 val read_int : reader -> int
 
+val write_byte : writer -> int -> unit
+val read_byte : reader -> int
+(** One raw byte, [0..255] — for tags whose values must not go through
+    the varint encoding. *)
+
 val write_bool : writer -> bool -> unit
 val read_bool : reader -> bool
 

@@ -217,15 +217,6 @@ let index_add w n =
   | Some ns -> Hashtbl.replace w.tw_index oid (n :: ns)
   | None -> Hashtbl.add w.tw_index oid [ n ]
 
-let index_remove w n =
-  let oid = n.tn_timer.tm_oid in
-  match Hashtbl.find_opt w.tw_index oid with
-  | None -> ()
-  | Some ns -> (
-    match List.filter (fun m -> m != n) ns with
-    | [] -> Hashtbl.remove w.tw_index oid
-    | ns' -> Hashtbl.replace w.tw_index oid ns')
-
 let wheel_insert w ~clock tm =
   let n =
     { tn_timer = tm; tn_prev = None; tn_next = None; tn_level = lvl_detached;
@@ -238,12 +229,6 @@ let wheel_insert w ~clock tm =
   | Some m when key_lt tm m.tn_timer -> w.tw_peek <- Some n
   | Some _ -> ()
   | None -> if w.tw_n = 1 then w.tw_peek <- Some n
-
-(* Fully remove one node: bucket, count, index. *)
-let remove_node w n =
-  unlink_node w n;
-  index_remove w n;
-  w.tw_n <- w.tw_n - 1
 
 (* Every pending timer, in (due, seq) order — the serialization order. *)
 let wheel_all w =
@@ -260,6 +245,42 @@ let wheel_all w =
   List.sort cmp_key !acc
 
 (* ------------------------------------------------------------------ *)
+(* The change log                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every change to the pending set is recorded in [tq_added] /
+   [tq_removed] until a durability batch drains it ([take_changes]), so
+   a batch carries what moved rather than the whole queue. Inserted
+   timers are pending, so [tq_added] never outgrows the queue; removals
+   are bounded by collapsing to [tq_full] once the log holds more than
+   [change_log_slack] entries beyond the pending count — backends that
+   never drain (image, none) stay bounded too. *)
+let change_log_slack = 64
+
+let mark_full ws =
+  ws.tq_full <- true;
+  Hashtbl.reset ws.tq_added;
+  Hashtbl.reset ws.tq_removed
+
+let record_insert db (tm : timer) =
+  let ws = db.wheel in
+  if not ws.tq_full then Hashtbl.replace ws.tq_added tm.tm_seq tm
+
+(* Call after the node has left the wheel, so [tw_n] is current. *)
+let record_remove db (tm : timer) =
+  let ws = db.wheel in
+  if not ws.tq_full then
+    if Hashtbl.mem ws.tq_added tm.tm_seq then
+      Hashtbl.remove ws.tq_added tm.tm_seq
+    else begin
+      Hashtbl.replace ws.tq_removed tm.tm_seq tm.tm_oid;
+      if
+        Hashtbl.length ws.tq_added + Hashtbl.length ws.tq_removed
+        > ws.tq.tw_n + change_log_slack
+      then mark_full ws
+    end
+
+(* ------------------------------------------------------------------ *)
 (* The queue                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -274,7 +295,29 @@ let fresh_seq db =
    (insertion order), the persisted one when reloading an image. *)
 let insert_timer db tm =
   wheel_insert db.wheel.tq ~clock:db.wheel.clock_ms tm;
-  db.wheel.timers_dirty <- true
+  record_insert db tm
+
+(* Remove the pending timers on [oid] that satisfy [pred], returning
+   them in (due, seq) order. O(timers on that object): [tw_index] holds
+   every live node, wherever the wheel placed it. *)
+let remove_where db oid pred =
+  let w = db.wheel.tq in
+  match Hashtbl.find_opt w.tw_index oid with
+  | None -> []
+  | Some ns ->
+    let gone, kept = List.partition (fun n -> pred n.tn_timer) ns in
+    if gone <> [] then begin
+      (match kept with
+      | [] -> Hashtbl.remove w.tw_index oid
+      | _ -> Hashtbl.replace w.tw_index oid kept);
+      List.iter
+        (fun n ->
+          unlink_node w n;
+          w.tw_n <- w.tw_n - 1;
+          record_remove db n.tn_timer)
+        gone
+    end;
+    List.sort cmp_key (List.map (fun n -> n.tn_timer) gone)
 
 (* ------------------------------------------------------------------ *)
 (* Persistence plumbing                                                *)
@@ -286,7 +329,7 @@ let pending_count db = Types.timerq_count db.wheel
 
 let clear db =
   db.wheel.tq <- make_wheel ();
-  db.wheel.timers_dirty <- true
+  mark_full db.wheel
 
 (* A fresh wheel holding [tms], placed against [clock]. *)
 let rebuild ~clock tms =
@@ -299,7 +342,43 @@ let rebuild ~clock tms =
    first. *)
 let replace db tms =
   db.wheel.tq <- rebuild ~clock:db.wheel.clock_ms tms;
-  db.wheel.timers_dirty <- true
+  mark_full db.wheel
+
+type changes =
+  | No_change
+  | Full of timer list
+  | Delta of { removed : (int * oid) list; added : timer list }
+
+let take_changes db =
+  let ws = db.wheel in
+  if ws.tq_full then begin
+    ws.tq_full <- false;
+    Full (pending db)
+  end
+  else if Hashtbl.length ws.tq_added = 0 && Hashtbl.length ws.tq_removed = 0
+  then No_change
+  else begin
+    let removed =
+      List.sort compare
+        (Hashtbl.fold (fun s o acc -> (s, o) :: acc) ws.tq_removed [])
+    and added =
+      List.sort
+        (fun a b -> compare a.tm_seq b.tm_seq)
+        (Hashtbl.fold (fun _ tm acc -> tm :: acc) ws.tq_added [])
+    in
+    Hashtbl.reset ws.tq_added;
+    Hashtbl.reset ws.tq_removed;
+    Delta { removed; added }
+  end
+
+(* Removals first: a timer removed and re-inserted under its own seq
+   (an aborted cancellation) is in both lists. The clock is already
+   set, so the inserts place correctly. *)
+let apply_delta db ~removed ~added =
+  List.iter
+    (fun (seq, oid) -> ignore (remove_where db oid (fun tm -> tm.tm_seq = seq)))
+    removed;
+  List.iter (insert_timer db) added
 
 (* Replay-time clock hop: move the clock while keeping
    the wheel's placement invariant, delivering nothing. Forward hops
@@ -322,54 +401,18 @@ let set_clock db c =
 (* Cancel every pending timer on [oid], returning them in (due, seq)
    order — [Engine] records them in a [U_timers_cancelled] undo entry
    so an abort restores the queue byte-for-byte (seqs preserved). *)
-let cancel_object db oid =
-  let w = db.wheel.tq in
-  match Hashtbl.find_opt w.tw_index oid with
-  | None -> []
-  | Some ns ->
-    Hashtbl.remove w.tw_index oid;
-    List.iter
-      (fun n ->
-        unlink_node w n;
-        w.tw_n <- w.tw_n - 1)
-      ns;
-    db.wheel.timers_dirty <- true;
-    List.sort cmp_key (List.map (fun n -> n.tn_timer) ns)
+let cancel_object db oid = remove_where db oid (fun _ -> true)
 
 (* Cancel the pending timers of one trigger on one object (deactivate,
    or the epoch bump of a re-activation), in (due, seq) order. *)
 let cancel_trigger db oid tname =
-  let w = db.wheel.tq in
-  match Hashtbl.find_opt w.tw_index oid with
-  | None -> []
-  | Some ns ->
-    let gone, kept = List.partition (fun n -> n.tn_timer.tm_trigger = tname) ns in
-    if gone <> [] then begin
-      (match kept with
-      | [] -> Hashtbl.remove w.tw_index oid
-      | _ -> Hashtbl.replace w.tw_index oid kept);
-      List.iter
-        (fun n ->
-          unlink_node w n;
-          w.tw_n <- w.tw_n - 1)
-        gone;
-      db.wheel.timers_dirty <- true
-    end;
-    List.sort cmp_key (List.map (fun n -> n.tn_timer) gone)
+  remove_where db oid (fun tm -> tm.tm_trigger = tname)
 
 (* Cancel one specific pending timer, matched by physical identity —
    the undo of [U_timers_armed]. Absent timers (already delivered or
    cancelled) are ignored. *)
 let cancel_timer db (tm : timer) =
-  let w = db.wheel.tq in
-  match Hashtbl.find_opt w.tw_index tm.tm_oid with
-  | None -> ()
-  | Some ns -> (
-    match List.find_opt (fun n -> n.tn_timer == tm) ns with
-    | None -> ()
-    | Some n ->
-      remove_node w n;
-      db.wheel.timers_dirty <- true)
+  ignore (remove_where db tm.tm_oid (fun t -> t == tm))
 
 (* ------------------------------------------------------------------ *)
 (* Arming                                                              *)
@@ -445,31 +488,9 @@ let peek db ~target =
   | _ -> None
 
 (* Pull every pending timer for one (object, spec, instant) out of the
-   queue, in seq order. O(same-instant group): only the level-0 head
-   bucket (plus the recovery-skew past list) is read — never the whole
-   queue. *)
+   queue, in seq order. O(timers on that object), through [tw_index]. *)
 let pull_group db ~due ~oid ~spec =
-  let w = db.wheel.tq in
-  let matches n =
-    n.tn_timer.tm_due = due && n.tn_timer.tm_oid = oid
-    && n.tn_timer.tm_spec = spec
-  in
-  let collect acc h =
-    let rec go acc = function
-      | None -> acc
-      | Some n ->
-        let nx = n.tn_next in
-        go (if matches n then n :: acc else acc) nx
-    in
-    go acc h
-  in
-  (* after [wheel_advance ~to_:due] every due-== node sits in the
-     level-0 cursor bucket; the past list only holds recovery skew *)
-  let ns = collect (collect [] w.tw_slots.(0).(slot_of 0 due)) w.tw_past in
-  List.iter (remove_node w) ns;
-  db.wheel.timers_dirty <- true;
-  List.sort (fun a b -> cmp_key a.tn_timer b.tn_timer) ns
-  |> List.map (fun n -> n.tn_timer)
+  remove_where db oid (fun tm -> tm.tm_due = due && tm.tm_spec = spec)
 
 (* The head-of-queue loop: deliver the minimum (due, seq) timer while
    it is due by [target]. *)
@@ -514,10 +535,10 @@ let advance_to db target =
   in
   loop ();
   advance_wheel target;
-  (* capture the final clock (and the timer queue, when deliveries or
-     reschedules moved it) — each delivery's system transaction emitted
-     its own batch mid-loop, but the clock kept advancing after the
-     last due timer *)
+  (* capture the final clock and the timer changes since the last
+     batch (the reschedules after the last delivery) — each delivery's
+     system transaction emitted its own batch mid-loop, but the clock
+     kept advancing after the last due timer *)
   db.durability.dur_commit db []
 
 let advance_clock db span =

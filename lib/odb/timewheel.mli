@@ -1,6 +1,7 @@
 (** Timewheel layer: the pending-timer structure for time events —
     insertion, due-date computation, periodic rescheduling, eager
-    cancellation, and clock advancement.
+    cancellation, clock advancement, and the log of timer changes that
+    WAL batches carry.
 
     The pending timers live in a hierarchical hashed timing wheel
     (Varghese–Lauck — 8 levels of 64 slots, cascade-on-advance, O(1)
@@ -74,9 +75,39 @@ val clear : db -> unit
 (** Drop every pending timer (image load reset). *)
 
 val replace : db -> timer list -> unit
-(** Bulk-load the queue from a (due, seq)-sorted list (WAL replay):
-    the wheel re-places each timer against the current clock — set the
-    clock before calling. *)
+(** Bulk-load the queue from a (due, seq)-sorted list (WAL replay of a
+    full-queue record): the wheel re-places each timer against the
+    current clock — set the clock before calling. *)
+
+(** {1 The change log}
+
+    Every insertion and removal is recorded, keyed by [tm_seq] (a
+    timer's identity), until {!take_changes} drains it — the WAL's
+    redo batches carry these timer changes, not the whole queue. A
+    removal cancels an insertion of the same seq since the last drain;
+    {!clear} and {!replace} record a wholesale replace. *)
+
+type changes =
+  | No_change
+  | Full of timer list  (** the whole queue, (due, seq) order *)
+  | Delta of { removed : (int * oid) list; added : timer list }
+      (** [(tm_seq, tm_oid)] of the removed timers and the inserted
+          timers in full, both in seq order *)
+
+val take_changes : db -> changes
+(** The net change to the pending set since the last call, then an
+    empty log. [Full] after {!clear}, {!replace}, or when the log grew
+    past the pending count plus {!change_log_slack}. *)
+
+val apply_delta : db -> removed:(int * oid) list -> added:timer list -> unit
+(** Replay a [Delta]: remove each [(seq, oid)] still pending (through
+    the per-object index), then insert the added timers against the
+    current clock — set the clock first. *)
+
+val change_log_slack : int
+(** How many entries the log may hold beyond the pending count before
+    it collapses to a full replace: the memory bound for backends that
+    never call {!take_changes}. *)
 
 val set_clock : db -> int64 -> unit
 (** Move the clock to an absolute instant without

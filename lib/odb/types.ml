@@ -139,10 +139,16 @@ and scratch = {
 and wheel_state = {
   mutable clock_ms : int64;
   mutable tq : twheel;  (* the pending timers *)
-  mutable timers_dirty : bool;
-      (* set whenever the pending set changes (insert, pop, cancel,
-         load), cleared when a durability batch captures the queue — so
-         WAL batches only carry the timer queue when it moved *)
+  tq_added : (int, timer) Hashtbl.t;
+  tq_removed : (int, oid) Hashtbl.t;
+  mutable tq_full : bool;
+      (* the timer changes since the last durability batch, keyed by
+         [tm_seq] (a timer's identity): timers inserted, and (seq, oid)
+         of timers removed that were not inserted since — a removal
+         cancels a same-batch insert. [tq_full] marks a wholesale
+         replace (clear, load, or a log grown past the pending count),
+         after which the next batch carries the whole queue and the two
+         tables stay empty. [Timewheel] records and drains them *)
   mutable tm_next_seq : int;
       (* insertion counter stamping [tm_seq] *)
 }
@@ -202,9 +208,9 @@ and durability_backend = {
          here so a crash before the first commit still recovers *)
   dur_commit : db -> oid list -> unit;
       (* emit one redo batch covering the listed objects (plus counters,
-         clock and — when dirty — the timer queue). Called at the end of
-         every transaction (user commit and abort, system transactions,
-         timer deliveries) and after clock advancement. *)
+         clock and the timer changes since the last batch). Called at
+         the end of every transaction (user commit and abort, system
+         transactions, timer deliveries) and after clock advancement. *)
   dur_save : db -> string -> unit;
   dur_load : db -> string -> unit;
   dur_recover : db -> unit;
@@ -454,7 +460,9 @@ let make_db ?(start_time = 0L) ?(max_tcomplete_rounds = 1000)
         {
           clock_ms = start_time;
           tq = make_wheel ();
-          timers_dirty = false;
+          tq_added = Hashtbl.create 16;
+          tq_removed = Hashtbl.create 16;
+          tq_full = false;
           tm_next_seq = 0;
         };
       durability;

@@ -4,12 +4,13 @@
    commit and abort, system transactions, timer deliveries) and every
    clock advancement emits one {e batch} — a logical redo record
    carrying the oid/txn counters, the clock, a full-object upsert or a
-   delete for every object the transaction touched, and the timer queue
-   when it moved. Batches are CRC-framed and appended to the current
-   log under a group-commit window; a periodic checkpoint writes a full
-   ODE1 snapshot (the exact [Persist.save] bytes — one codec path) and
-   truncates the log. Recovery is snapshot + replay of every complete,
-   CRC-valid frame, stopping at the first damaged one.
+   delete for every object the transaction touched, and the timer
+   changes since the previous batch. Batches are CRC-framed and
+   appended to the current log under a group-commit window; a periodic
+   checkpoint writes a full ODE1 snapshot (the exact [Persist.save]
+   bytes — one codec path) and truncates the log. Recovery is
+   snapshot + replay of every complete, CRC-valid frame, stopping at
+   the first damaged one.
 
    Why full-object upserts rather than fine-grained deltas derived from
    the undo log: the undo log does {e not} enumerate every mutation —
@@ -185,8 +186,12 @@ let scan_bytes data =
 let scan_file path = scan_bytes (Codec.of_file path)
 
 (* One redo batch: counters and clock always; a tagged upsert/delete
-   per touched object (deduplicated, first-touch order); the full timer
-   queue when it changed since the last batch. *)
+   per touched object (deduplicated, first-touch order); the timer
+   changes since the last batch ([Timewheel.take_changes]) behind one
+   raw tag byte — 0 none, 1 the full queue, 2 a delta: removed
+   (seq, oid) pairs, then added timers. Tags 0 and 1 are the bytes
+   [Codec.write_option] wrote when every record carried the whole
+   queue, so those logs replay unchanged. *)
 let serialize_batch db oids =
   let w = Codec.writer () in
   Codec.write_int w db.store.next_oid;
@@ -217,11 +222,28 @@ let serialize_batch db oids =
         Codec.write_int w 1;
         Codec.write_int w oid)
     uniq;
-  Codec.write_option w
-    (fun w ts -> Codec.write_list w Persist.write_timer ts)
-    (if db.wheel.timers_dirty then Some (Timewheel.pending db) else None);
-  db.wheel.timers_dirty <- false;
+  (match Timewheel.take_changes db with
+  | No_change -> Codec.write_byte w 0
+  | Full ts ->
+    Codec.write_byte w 1;
+    Codec.write_list w Persist.write_timer ts
+  | Delta { removed; added } ->
+    Codec.write_byte w 2;
+    Codec.write_list w
+      (fun w (seq, oid) ->
+        Codec.write_int w seq;
+        Codec.write_int w oid)
+      removed;
+    Codec.write_list w Persist.write_timer added);
   Codec.contents w
+
+let read_removed r =
+  Codec.read_list r (fun r ->
+      let seq = Codec.read_int r in
+      (seq, Codec.read_int r))
+
+let bad_timer_tag t =
+  raise (Codec.Corrupt (Printf.sprintf "bad WAL timer tag %d" t))
 
 let apply_batch db payload =
   let r = Codec.reader payload in
@@ -240,12 +262,19 @@ let apply_batch db payload =
       if Store.mem db oid then Store.remove_obj db oid
     | t -> raise (Codec.Corrupt (Printf.sprintf "bad WAL entry tag %d" t))
   done;
-  match Codec.read_option r (fun r -> Codec.read_list r Persist.read_timer) with
-  | Some timers ->
-    (* the clock was set above, so wheel placement is already right *)
+  (* the clock was set above, so wheel placement is already right *)
+  match Codec.read_byte r with
+  | 0 -> ()
+  | 1 ->
+    let timers = Codec.read_list r Persist.read_timer in
     Timewheel.replace db timers;
     Persist.bump_seq_counter db timers
-  | None -> ()
+  | 2 ->
+    let removed = read_removed r in
+    let added = Codec.read_list r Persist.read_timer in
+    Timewheel.apply_delta db ~removed ~added;
+    Persist.bump_seq_counter db added
+  | t -> bad_timer_tag t
 
 (* Decoded shape for [odec wal-dump] — framing plus a per-batch summary,
    no schema needed. *)
@@ -258,8 +287,13 @@ type batch_summary = {
   s_next_txn : int;
   s_clock_ms : int64;
   s_entries : entry_summary list;
-  s_timers : int option;  (* [Some n]: the batch carries n timers *)
+  s_timers : timer_summary;
 }
+
+and timer_summary =
+  | No_timers
+  | Full of int  (* the whole queue: n timers *)
+  | Delta of { added : int; removed : int }
 
 let decode_summary payload =
   let r = Codec.reader payload in
@@ -277,8 +311,14 @@ let decode_summary payload =
         | t -> raise (Codec.Corrupt (Printf.sprintf "bad WAL entry tag %d" t)))
   in
   let s_timers =
-    Option.map List.length
-      (Codec.read_option r (fun r -> Codec.read_list r Persist.read_timer))
+    match Codec.read_byte r with
+    | 0 -> No_timers
+    | 1 -> Full (List.length (Codec.read_list r Persist.read_timer))
+    | 2 ->
+      let removed = List.length (read_removed r) in
+      let added = List.length (Codec.read_list r Persist.read_timer) in
+      Delta { added; removed }
+    | t -> bad_timer_tag t
   in
   { s_next_oid; s_next_txn; s_clock_ms; s_entries; s_timers }
 
@@ -359,6 +399,9 @@ let checkpoint st db =
   flush st db;
   let g' = st.gen + 1 in
   Codec.to_file (snap_path st.cfg.dir g') (Persist.image_bytes db);
+  (* the snapshot holds the timer queue: the changes logged so far are
+     in it, so the next batch starts from an empty change log *)
+  ignore (Timewheel.take_changes db);
   Codec.to_file (wal_path st.cfg.dir g') header;
   (try Sys.remove (snap_path st.cfg.dir st.gen) with Sys_error _ -> ());
   (try Sys.remove (wal_path st.cfg.dir st.gen) with Sys_error _ -> ());

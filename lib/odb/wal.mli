@@ -92,8 +92,17 @@ val scan_file : string -> scan_result
 
 val apply_batch : db -> string -> unit
 (** Replay one scanned payload: set the counters and clock, upsert or
-    remove each carried object, replace the timer queue if carried.
-    Raises [Codec.Corrupt] on a malformed payload (a CRC-valid frame
+    remove each carried object, then apply the timer changes.
+
+    A payload is the counters and clock (varints), the object entries,
+    then one raw timer tag byte: [0] no timer change; [1] the full
+    queue follows (a timer list, which replaces the queue); [2] a delta
+    follows — a list of removed [(tm_seq, tm_oid)] varint pairs, then a
+    list of added timers. Tags [0] and [1] are byte-identical to the
+    option the format wrote when every record carried the whole queue,
+    so older logs replay unchanged. The insertion counter is bumped
+    past every replayed timer. Raises [Codec.Corrupt] on a malformed
+    payload, a timer tag of [3] or more included (a CRC-valid frame
     written by this module always decodes). *)
 
 val crc32 : string -> int
@@ -107,8 +116,13 @@ type batch_summary = {
   s_next_txn : int;
   s_clock_ms : int64;
   s_entries : entry_summary list;
-  s_timers : int option;  (** [Some n]: the batch carries n timers *)
+  s_timers : timer_summary;
 }
+
+and timer_summary =
+  | No_timers
+  | Full of int  (** the whole queue: n timers *)
+  | Delta of { added : int; removed : int }
 
 val decode_summary : string -> batch_summary
 (** Schema-free decode of one payload for pretty-printing. Raises

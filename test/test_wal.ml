@@ -1,9 +1,12 @@
 (* The WAL durability backend: the crash-injection harness (randomized
    kill and corruption points over a logged workload, recovery compared
    byte-for-byte against shadow snapshots captured at every batch
-   boundary), checkpoint rotation, the group-commit window, the
-   ODE_DURABILITY selector, the snapshot-bytes = save-bytes property
-   and the frame scanner's damage classification. *)
+   boundary) over a mixed workload and over timer churn, the timer
+   records (delta size, the change log's bound, replay of full-queue
+   records from the older encoder, their summaries), checkpoint
+   rotation, the group-commit window, the ODE_DURABILITY selector, the
+   snapshot-bytes = save-bytes property and the frame scanner's damage
+   classification. *)
 
 open Ode_odb
 
@@ -105,36 +108,45 @@ let step rng db =
        match D.commit db tx with Ok () -> () | Error `Aborted -> ()
    with D.Lock_conflict _ -> D.abort db tx)
 
+(* Every firing [f] causes, in order. *)
+let firings_of pdb f =
+  let fired = ref [] in
+  let s =
+    D.subscribe_firings pdb (fun f ->
+        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_txn) :: !fired)
+  in
+  f ();
+  D.unsubscribe pdb s;
+  List.rev !fired
+
 (* A probe run after recovery: does the revived database *behave*
    identically — firings, transaction ids, timer deliveries — not just
    carry equal bytes? *)
 let probe pdb =
-  let fired = ref [] in
-  let _s =
-    D.subscribe_firings pdb (fun f ->
-        fired := (f.D.f_trigger, f.D.f_oid, f.D.f_txn) :: !fired)
+  let fired =
+    firings_of pdb (fun () ->
+        (match
+           D.with_txn pdb (fun _ ->
+               let o = D.create pdb "item" [] in
+               D.activate pdb o "pair" [];
+               ignore (D.call pdb o "deposit" [ Value.Int 1 ]);
+               ignore (D.call pdb o "deposit" [ Value.Int 2 ]);
+               match D.objects pdb with
+               | o0 :: _ -> ignore (D.call pdb o0 "deposit" [ Value.Int 3 ])
+               | [] -> ())
+         with
+        | Ok () -> ()
+        | Error `Aborted -> ());
+        D.advance_clock pdb 100L)
   in
-  (match
-     D.with_txn pdb (fun _ ->
-         let o = D.create pdb "item" [] in
-         D.activate pdb o "pair" [];
-         ignore (D.call pdb o "deposit" [ Value.Int 1 ]);
-         ignore (D.call pdb o "deposit" [ Value.Int 2 ]);
-         match D.objects pdb with
-         | o0 :: _ -> ignore (D.call pdb o0 "deposit" [ Value.Int 3 ])
-         | [] -> ())
-   with
-  | Ok () -> ()
-  | Error `Aborted -> ());
-  D.advance_clock pdb 100L;
-  (List.rev !fired, D.image_bytes pdb)
+  (fired, D.image_bytes pdb)
 
 (* The load-bearing invariant of the whole layer: whatever point the
    log is killed or corrupted at, snapshot + replay reconstructs a
    state byte-identical to the shadow image captured when the last
    surviving batch was emitted — and the revived database behaves
    identically from there on. *)
-let crash_harness ~points ~seed () =
+let crash_harness ~schema ~step ~steps ~probe ~points ~seed () =
   let dir = fresh_dir () in
   let shadows = ref [] in
   let cfg =
@@ -150,7 +162,7 @@ let crash_harness ~points ~seed () =
   Alcotest.(check bool) "baseline snapshot = initial image" true
     (String.equal (Codec.of_file (Wal.snap_path dir 0)) base);
   let rng = Random.State.make [| seed |] in
-  for _ = 1 to 40 do
+  for _ = 1 to steps do
     step rng db
   done;
   D.close_durability db;
@@ -205,9 +217,11 @@ let crash_harness ~points ~seed () =
       if not (String.equal img_r img_s) then
         Alcotest.failf "crash point %d: probe images diverge" point
     end
-  done
+  done;
+  (Wal.scan_bytes log).Wal.frames
 
-let test_crash_heap () = crash_harness ~points:250 ~seed:42 ()
+let test_crash_heap () =
+  ignore (crash_harness ~schema ~step ~steps:40 ~probe ~points:250 ~seed:42 ())
 
 (* Checkpoints rotate the generation pair: the old snapshot + log are
    retired, and recovery from the rotated directory still reconstructs
@@ -428,12 +442,344 @@ let test_refuses_partitioned_dir () =
   | () -> Alcotest.fail "expected recover to refuse the partitioned directory"
   | exception D.Ode_error msg -> refused dir2 msg
 
+(* ------------------------------------------------------------------ *)
+(* Timer records: full queues and deltas                               *)
+(* ------------------------------------------------------------------ *)
+
+let timer_kinds frames =
+  List.map (fun f -> (Wal.decode_summary f).Wal.s_timers) frames
+
+let is_full = function Wal.Full _ -> true | _ -> false
+let is_delta = function Wal.Delta _ -> true | _ -> false
+
+(* Two slow periodic time events: a few hundred pending timers deliver
+   a handful per clock step. *)
+let churn_schema () =
+  D.define_class "beacon"
+  |> (fun b ->
+       D.trigger_str b ~perpetual:true "beat" ~event:"every time(MS=900)"
+         ~action:(fun _ _ -> ()))
+  |> fun b ->
+  D.trigger_str b ~perpetual:true "pulse" ~event:"every time(MS=1300)"
+    ~action:(fun _ _ -> ())
+
+(* One churn transaction, after an occasional clock advance. A low
+   population is refilled with 300 armed objects; 1 in 20 transactions
+   deletes three quarters of it at once — more removals than the change
+   log holds past the pending count, so that batch is a full-queue
+   record; otherwise a few random activations (a re-activation cancels
+   and re-arms), deactivations, deletes and creations. 1 in 4
+   transactions abort, so undo cancels fresh arms and restores
+   cancelled timers under their old seqs. *)
+let churn_step rng db =
+  if Random.State.int rng 3 = 0 then
+    D.advance_clock db (Int64.of_int (20 + Random.State.int rng 180));
+  let live = D.objects db in
+  let trig () = if Random.State.int rng 4 = 0 then "pulse" else "beat" in
+  let tx = D.begin_txn db in
+  (try
+     if List.length live < 150 then
+       for _ = 1 to 300 do
+         D.activate db (D.create db "beacon" []) (trig ()) []
+       done
+     else if Random.State.int rng 20 = 0 then
+       List.iteri (fun i oid -> if i mod 4 <> 0 then D.delete db oid) live
+     else
+       for _ = 1 to 1 + Random.State.int rng 5 do
+         let oid = pick rng live in
+         if D.exists db oid then
+           match Random.State.int rng 4 with
+           | 0 -> D.activate db oid (trig ()) []
+           | 1 -> D.deactivate db oid (trig ())
+           | 2 -> D.delete db oid
+           | _ -> D.activate db (D.create db "beacon" []) (trig ()) []
+       done;
+     if Random.State.int rng 4 = 0 then D.abort db tx
+     else match D.commit db tx with Ok () | Error `Aborted -> ()
+   with D.Lock_conflict _ -> D.abort db tx)
+
+let churn_probe pdb =
+  (firings_of pdb (fun () -> D.advance_clock pdb 2_000L), D.image_bytes pdb)
+
+(* The crash harness over timer churn: recovery replays delta records
+   (and the full-queue records of mass deletes) into the shadow image
+   at every kill point. *)
+let test_crash_timer_churn () =
+  let frames =
+    crash_harness ~schema:churn_schema ~step:churn_step ~steps:60
+      ~probe:churn_probe ~points:120 ~seed:1515 ()
+  in
+  let kinds = timer_kinds frames in
+  Alcotest.(check bool) "the log holds full-queue records" true
+    (List.exists is_full kinds);
+  Alcotest.(check bool) "the log holds delta records" true
+    (List.exists is_delta kinds)
+
+(* Recovery replays timer changes on top of the snapshot, then
+   re-baselines: the replayed changes are in the new snapshot, so the
+   next batch logs only what changed after it. A database recovered,
+   driven further and recovered again ends where the first recovered
+   one did. *)
+let test_recover_twice () =
+  let dir = fresh_dir () in
+  let cfg () =
+    Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir
+  in
+  let rng = Random.State.make [| 99 |] in
+  let run db =
+    for _ = 1 to 12 do
+      churn_step rng db
+    done;
+    D.close_durability db
+  in
+  let db = D.create_db ~durability:(`Wal (cfg ())) () in
+  D.register_class db (churn_schema ());
+  run db;
+  let revive () =
+    let rdb = D.create_db ~durability:(`Wal (cfg ())) () in
+    D.register_class rdb (churn_schema ());
+    D.recover rdb;
+    rdb
+  in
+  let rdb = revive () in
+  Alcotest.(check bool) "first recovery" true
+    (String.equal (D.image_bytes rdb) (D.image_bytes db));
+  run rdb;
+  let log = Wal.wal_path dir (Option.get (Wal.latest_gen dir)) in
+  Alcotest.(check bool) "the first batch after recovery is not the queue" false
+    (is_full (List.hd (timer_kinds (Wal.scan_file log).Wal.frames)));
+  let r2 = revive () in
+  Alcotest.(check bool) "second recovery" true
+    (String.equal (D.image_bytes r2) (D.image_bytes rdb));
+  D.close_durability r2
+
+(* A timer delivery logs the same bytes whatever the queue's length:
+   the batch carries the delivered timer's removal and its re-arm, not
+   the queue. Both runs create the same objects and run the same
+   transactions; one leaves 10 timers pending, the other 10,000. *)
+let test_delivery_batch_size () =
+  let schema () =
+    D.define_class "c"
+    |> (fun b ->
+         D.trigger_str b ~perpetual:true "tick" ~event:"every time(MS=70)"
+           ~action:(fun _ _ -> ()))
+    |> fun b ->
+    D.trigger_str b ~perpetual:true "slow" ~event:"every time(MS=100000)"
+      ~action:(fun _ _ -> ())
+  in
+  let delivery_frames ~keep =
+    let dir = fresh_dir () in
+    let cfg =
+      Wal.config ~flush_ms:3_600_000 ~sync_on_flush:false ~snapshot_every:0
+        dir
+    in
+    let db = D.create_db ~durability:(`Wal cfg) () in
+    D.register_class db (schema ());
+    let others =
+      expect_ok
+        (D.with_txn db (fun _ ->
+             D.activate db (D.create db "c" []) "tick" [];
+             List.init 10_000 (fun _ ->
+                 let oid = D.create db "c" [] in
+                 D.activate db oid "slow" [];
+                 oid)))
+    in
+    expect_ok
+      (D.with_txn db (fun _ ->
+           List.iteri
+             (fun i oid -> if i >= keep then D.deactivate db oid "slow")
+             others));
+    let frames () = (Wal.scan_file (Wal.wal_path dir 0)).Wal.frames in
+    D.sync_durability db;
+    let before = List.length (frames ()) in
+    D.advance_clock db 70L;
+    D.close_durability db;
+    Alcotest.(check int) "pending" (keep + 1) (D.stats db).D.n_timers;
+    List.filteri (fun i _ -> i >= before) (frames ())
+  in
+  let small = delivery_frames ~keep:10
+  and large = delivery_frames ~keep:10_000 in
+  Alcotest.(check bool) "the delivery logged timer changes" true
+    (List.exists is_delta (timer_kinds small));
+  Alcotest.(check (list int)) "same batch lengths at 10 and 10,000 pending"
+    (List.map String.length small) (List.map String.length large)
+
+(* Backends that never drain the change log keep it bounded: it holds
+   no more than the pending count plus the slack after 10,000
+   arm/deliver cycles under image durability, and after a closed WAL
+   backend (which stopped draining) sees its logged timers cancelled
+   and the cycles run again. *)
+let test_change_log_bound () =
+  let check_bound what db =
+    let w = db.Types.wheel in
+    let logged =
+      Hashtbl.length w.Types.tq_added + Hashtbl.length w.Types.tq_removed
+    in
+    let pending = Timewheel.pending_count db in
+    if logged > pending + Timewheel.change_log_slack then
+      Alcotest.failf "%s: change log holds %d entries at %d pending" what
+        logged pending
+  in
+  let setup durability =
+    let db = D.create_db ~durability () in
+    D.register_class db
+      (D.define_class "c" |> fun b ->
+       D.trigger_str b ~perpetual:true "once" ~event:"after time(MS=10)"
+         ~action:(fun _ _ -> ()));
+    let oids =
+      expect_ok
+        (D.with_txn db (fun _ -> List.init 1_000 (fun _ -> D.create db "c" [])))
+    in
+    (db, oids)
+  in
+  let cycles db oids =
+    let oids = Array.of_list oids in
+    for i = 1 to 10_000 do
+      expect_ok
+        (D.with_txn db (fun _ -> D.activate db oids.(i mod 8) "once" []));
+      if i mod 4 = 0 then D.advance_clock db 10L
+    done
+  in
+  let db, oids = setup `Image in
+  cycles db oids;
+  check_bound "image" db;
+  let dir = fresh_dir () in
+  let db, oids =
+    setup
+      (`Wal (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
+  in
+  let each f = expect_ok (D.with_txn db (fun _ -> List.iter f oids)) in
+  each (fun o -> D.activate db o "once" []);
+  D.close_durability db;
+  each (fun o -> D.deactivate db o "once");
+  check_bound "closed WAL" db;
+  cycles db oids;
+  check_bound "closed WAL, cycles" db
+
+(* Captured from the encoder that wrote the whole queue into every
+   record that changed it (a [Codec.write_option], so tag bytes 0 and
+   1): schema [c] with [tick] every 70 ms; two objects armed in one
+   transaction, [advance_clock 100], the first object deleted,
+   [advance_clock 50]. [old_base] is the generation-0 snapshot,
+   [old_final] the image that run ended with. *)
+let old_schema () =
+  D.define_class "c" |> fun b ->
+  D.trigger_str b ~perpetual:true "tick" ~event:"every time(MS=70)"
+    ~action:(fun _ _ -> ())
+
+let old_base = "\bODE1\002\002\000\000\000"
+
+let old_frames =
+  [
+    "\006\004\000\004\000\002\002c\000\002\btick\000\002\000\000\001\000\000\004\002c\000\002\btick\000\002\000\000\001\000\001\004\140\001\000\002\btick\000\002\140\001\000\140\001\002\004\btick\000\002\140\001\000";
+    "\006\006\000\004\000\002\002c\000\002\btick\000\002\000\000\001\000\000\004\002c\000\002\btick\000\002\000\000\001\000\000";
+    "\006\b\140\001\002\000\002\002c\000\002\btick\000\002\002\000\001\000\001\002\140\001\002\004\btick\000\002\140\001\000";
+    "\006\n\140\001\002\000\004\002c\000\002\btick\000\002\002\000\001\000\001\002\152\002\004\002\btick\000\002\140\001\000";
+    "\006\n\200\001\000\001\004\152\002\004\002\btick\000\002\140\001\000\152\002\006\004\btick\000\002\140\001\000";
+    "\006\012\200\001\002\002\002\001\002\152\002\006\004\btick\000\002\140\001\000";
+    "\006\014\200\001\002\002\002\000";
+    "\006\016\152\002\002\000\004\002c\000\002\btick\000\002\002\000\001\000\001\000";
+    "\006\016\172\002\000\001\002\164\003\b\004\btick\000\002\140\001\000";
+  ]
+
+let old_final =
+  "\bODE1\006\016\172\002\002\004\002c\000\002\btick\000\002\002\000\001\000\002\164\003\b\004\btick\000\002\140\001\000"
+
+let frame payload =
+  let b = Bytes.create 8 in
+  Bytes.set_int32_le b 0 (Int32.of_int (String.length payload));
+  Bytes.set_int32_le b 4 (Int32.of_int (Wal.crc32 payload));
+  Bytes.to_string b ^ payload
+
+let test_old_records_replay () =
+  let db = D.create_db () in
+  D.register_class db (old_schema ());
+  Alcotest.(check bool) "fresh database = the old baseline" true
+    (String.equal (D.image_bytes db) old_base);
+  List.iter (Wal.apply_batch db) old_frames;
+  Alcotest.(check bool) "apply_batch replays into the old final image" true
+    (String.equal (D.image_bytes db) old_final);
+  (* and a whole old log directory recovers *)
+  let dir = fresh_dir () in
+  Codec.to_file (Wal.snap_path dir 0) old_base;
+  Codec.to_file (Wal.wal_path dir 0)
+    (String.concat "" (Wal.header :: List.map frame old_frames));
+  let rdb = D.create_db ~durability:(`Wal (Wal.config dir)) () in
+  D.register_class rdb (old_schema ());
+  D.recover rdb;
+  Alcotest.(check bool) "an old log recovers" true
+    (String.equal (D.image_bytes rdb) old_final);
+  D.close_durability rdb;
+  (* a timer tag byte past 2 is corruption: the clock-only record ends
+     in its tag *)
+  let clock_only = List.nth old_frames 6 in
+  let n = String.length clock_only in
+  List.iter
+    (fun t ->
+      let bad = String.sub clock_only 0 (n - 1) ^ String.make 1 (Char.chr t) in
+      let fresh = D.create_db () in
+      D.register_class fresh (old_schema ());
+      Alcotest.(check bool)
+        (Printf.sprintf "tag %d rejected by apply_batch" t)
+        true
+        (match Wal.apply_batch fresh bad with
+        | () -> false
+        | exception Codec.Corrupt _ -> true);
+      Alcotest.(check bool)
+        (Printf.sprintf "tag %d rejected by decode_summary" t)
+        true
+        (match Wal.decode_summary bad with
+        | _ -> false
+        | exception Codec.Corrupt _ -> true))
+    [ 3; 4; 255 ]
+
+(* [odec wal-dump]'s summary tells the three timer record kinds apart. *)
+let test_summary_timer_kinds () =
+  Alcotest.(check bool) "old full-queue record" true
+    ((Wal.decode_summary (List.hd old_frames)).Wal.s_timers = Wal.Full 2);
+  Alcotest.(check bool) "old record without timers" true
+    ((Wal.decode_summary (List.nth old_frames 6)).Wal.s_timers = Wal.No_timers);
+  let dir = fresh_dir () in
+  let db =
+    D.create_db
+      ~durability:
+        (`Wal
+          (Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0 dir))
+      ()
+  in
+  D.register_class db (old_schema ());
+  expect_ok
+    (D.with_txn db (fun _ ->
+         List.iter
+           (fun _ -> D.activate db (D.create db "c" []) "tick" [])
+           [ 1; 2; 3 ]));
+  expect_ok
+    (D.with_txn db (fun _ -> D.delete db (List.hd (D.objects db))));
+  D.close_durability db;
+  let kinds = timer_kinds (Wal.scan_file (Wal.wal_path dir 0)).Wal.frames in
+  Alcotest.(check bool) "three arms in one delta" true
+    (List.mem (Wal.Delta { added = 3; removed = 0 }) kinds);
+  Alcotest.(check bool) "one removal in the next" true
+    (List.mem (Wal.Delta { added = 0; removed = 1 }) kinds)
+
 let suite =
   [
     Alcotest.test_case "refuses a partitioned log directory" `Quick
       test_refuses_partitioned_dir;
     Alcotest.test_case "crash harness, heap backend (250 points)" `Quick
       test_crash_heap;
+    Alcotest.test_case "crash harness, timer churn (120 points)" `Quick
+      test_crash_timer_churn;
+    Alcotest.test_case "recover, drive, recover again" `Quick
+      test_recover_twice;
+    Alcotest.test_case "delivery batch size ignores queue length" `Quick
+      test_delivery_batch_size;
+    Alcotest.test_case "change log stays bounded without drains" `Quick
+      test_change_log_bound;
+    Alcotest.test_case "full-queue records of the old encoder replay" `Quick
+      test_old_records_replay;
+    Alcotest.test_case "summary tells timer record kinds apart" `Quick
+      test_summary_timer_kinds;
     Alcotest.test_case "checkpoint rotation" `Quick test_checkpoint_rotation;
     Alcotest.test_case "group-commit window" `Quick test_group_commit_window;
     Alcotest.test_case "ODE_DURABILITY selector" `Quick test_env_selector;
