@@ -1351,7 +1351,7 @@ let e15_serve () =
       {
         DB.Config.default with
         DB.Config.serve =
-          { DB.Config.default_serve with DB.Config.port = 0; batch_window_ms = 1 };
+          { DB.Config.default_serve with DB.Config.port = 0 };
       }
     in
     let srv = Server.create ~db ~config () in
@@ -1424,8 +1424,8 @@ let e15_serve () =
         (clients, events_per_client, ev_s, p50, p99, fired))
       [ 1; 4; 16 ]
   in
-  pf "shape: one select loop owns the engine; throughput climbs with client\n\
-      count while batches coalesce, and p99 absorbs the coalescing window.@.";
+  pf "shape: one select loop owns the engine; requests that arrive in the\n\
+      same read burst coalesce into one batch, flushed at the end of the burst.@.";
   let oc = open_out "BENCH_serve.json" in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -1434,8 +1434,8 @@ let e15_serve () =
      percentiles in microseconds\",\n";
   p
     "  \"description\": \"N concurrent clients posting 100-event post_many \
-     batches over loopback to odes serve (1ms coalescing window), one \
-     drop-policy subscriber streaming firings throughout\",\n";
+     batches over loopback to odes serve (each read burst flushed as one \
+     batch), one drop-policy subscriber streaming firings throughout\",\n";
   p "  \"rows\": [\n";
   let last = List.length rows - 1 in
   List.iteri

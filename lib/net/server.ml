@@ -42,12 +42,11 @@ type t = {
   mutable conns : conn list;
   (* the post coalescer: reversed items and reversed waiting
      (connection, request id, contributed count) triples, flushed as one
-     [post_many] when the window closes, the cap is hit, or a barrier
-     verb arrives *)
+     [post_many] at the end of the read burst, when the cap is hit, or
+     when a barrier verb arrives; empty between turns of the loop *)
   mutable b_items : (int * Ode_event.Symbol.basic * Value.t list) list;
   mutable b_n : int;
   mutable b_waiters : (conn * int * int) list;
-  mutable b_deadline : float;
   mutable n_batches : int;
   mutable n_requests : int;
   mutable n_accepted : int;
@@ -86,7 +85,6 @@ let check_serve (s : D.Config.serve) =
   in
   floor "outbox_bound" s.D.Config.outbox_bound 1;
   floor "max_batch" s.D.Config.max_batch 1;
-  floor "batch_window_ms" s.D.Config.batch_window_ms 0;
   floor "max_frame_bytes" s.D.Config.max_frame_bytes 1
 
 let create ?db ~(config : D.Config.t) () =
@@ -129,7 +127,6 @@ let create ?db ~(config : D.Config.t) () =
     b_items = [];
     b_n = 0;
     b_waiters = [];
-    b_deadline = 0.0;
     n_batches = 0;
     n_requests = 0;
     n_accepted = 0;
@@ -268,15 +265,12 @@ let flush_batch t =
       answer (`Err (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid))
     | exception Value.Type_error msg ->
       answer (`Err (P.err_ode, "type error: " ^ msg))
-    (* last resort: flush_batch also runs from the select loop's window
-       timer, so anything escaping here would both kill the server and
-       leave every coalesced waiter without a reply *)
+    (* last resort: flush_batch also runs from the select loop at the
+       end of each read burst, so anything escaping here would both kill
+       the server and leave every coalesced waiter without a reply *)
     | exception e ->
       answer (`Err (P.err_ode, "internal error: " ^ Printexc.to_string e))
   end
-
-let due t now = t.b_n > 0 && now >= t.b_deadline
-let window_s t = float_of_int t.scfg.D.Config.batch_window_ms /. 1000.0
 
 (* Run [f] for a connection that holds no transaction: begin/commit
    around it, mapping the abort outcomes onto wire errors. *)
@@ -337,7 +331,6 @@ let status_json t =
             ("batches", J.Int t.n_batches);
             ("outbox_dropped", J.Int t.n_dropped);
             ("subscribers", J.Int (D.subscriber_count t.db));
-            ("batch_window_ms", J.Int t.scfg.D.Config.batch_window_ms);
             ("outbox_bound", J.Int t.scfg.D.Config.outbox_bound);
           ] );
       ( "db",
@@ -358,17 +351,16 @@ let handle_request t conn ~id (req : P.request) =
   match req with
   | P.Post it when conn.c_txn = None ->
     (* the coalescer path: no reply yet — it comes with the flush *)
-    if t.b_n = 0 then t.b_deadline <- Unix.gettimeofday () +. window_s t;
     t.b_items <- (it.P.i_oid, it.P.i_event, it.P.i_args) :: t.b_items;
     t.b_n <- t.b_n + 1;
     t.b_waiters <- (conn, id, 1) :: t.b_waiters;
     if t.b_n >= t.scfg.D.Config.max_batch then flush_batch t
   | P.Post_many [] when conn.c_txn = None ->
-    (* a true no-op: answered on the spot — enrolling a zero-item waiter
-       would wait on a window that [due] never opens (it watches
-       [b_n > 0]), and routing it through the flush would spend a
-       server transaction (and a WAL batch record) on posting nothing.
-       [batch = 0] marks "joined no batch". *)
+    (* a true no-op: answered on the spot — a zero-item waiter alone
+       would never be answered (the flush runs only when [b_n > 0]), and
+       routing it through the flush would spend a server transaction
+       (and a WAL batch record) on posting nothing. [batch = 0] marks
+       "joined no batch". *)
     reply conn ~id
       (P.R_ok
          (Json.Obj
@@ -378,7 +370,6 @@ let handle_request t conn ~id (req : P.request) =
               ("firings", Json.Int 0);
             ]))
   | P.Post_many its when conn.c_txn = None ->
-    if t.b_n = 0 then t.b_deadline <- Unix.gettimeofday () +. window_s t;
     List.iter
       (fun it -> t.b_items <- (it.P.i_oid, it.P.i_event, it.P.i_args) :: t.b_items)
       its;
@@ -649,12 +640,14 @@ let drain_wake t =
   in
   go ()
 
+(* One turn: read every connection that has input, flush the coalesced
+   batch once no connection has more input this turn, then write the
+   replies and firings in the same turn that produced them. Only a
+   connection whose write hit EAGAIN still has output at the next
+   [select], so only those are polled for writability. No batch is
+   pending between turns. *)
 let run t =
   while not (Atomic.get t.stopping) do
-    let now = Unix.gettimeofday () in
-    let timeout =
-      if t.b_n > 0 then Float.max 0.0 (t.b_deadline -. now) else 0.25
-    in
     let readers =
       let conn_fds = t.wake_r :: List.map (fun c -> c.c_fd) t.conns in
       if List.length t.conns < max_conns then t.listen_fd :: conn_fds
@@ -665,23 +658,22 @@ let run t =
         (fun c -> if Queue.is_empty c.c_out then None else Some c.c_fd)
         t.conns
     in
-    (match Unix.select readers writers [] timeout with
-    | rs, ws, _ ->
+    (match Unix.select readers writers [] 0.25 with
+    | rs, _, _ ->
       if List.memq t.wake_r rs then drain_wake t;
       if List.memq t.listen_fd rs then accept_loop t;
       List.iter (fun c -> if List.memq c.c_fd rs then pump_reads t c) t.conns;
-      (* window close: [batch_window_ms = 0] flushes at the end of every
-         read burst, a positive window when its deadline passes *)
-      if t.b_n > 0 && (t.scfg.D.Config.batch_window_ms = 0 || due t (Unix.gettimeofday ()))
-      then flush_batch t;
-      List.iter (fun c -> if List.memq c.c_fd ws then write_some c) t.conns
+      flush_batch t;
+      List.iter
+        (fun c -> if not (c.c_dead || Queue.is_empty c.c_out) then write_some c)
+        t.conns
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
     (* sweep: teardown everything that died this iteration *)
     List.iter (fun c -> if c.c_dead then teardown t c) t.conns
   done;
-  (* orderly shutdown: answer the posts still in the window, then give
-     each client a bounded chance to drain its outbox *)
-  flush_batch t;
+  (* orderly shutdown: every turn ended with its batch flushed, so all
+     that is left is to give each client a bounded chance to drain its
+     outbox *)
   let deadline = Unix.gettimeofday () +. 2.0 in
   let rec drain () =
     let pending =

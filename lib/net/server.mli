@@ -10,11 +10,14 @@
     The coalescer is what makes the wire path fast: [post] /
     [post_many] requests from clients with no open transaction
     accumulate into one pending batch, flushed as a single
-    [Database.post_many] — through the compiled posting kernel — when
-    the configured window closes, the batch cap is reached, or a
-    non-post verb arrives (every other verb is a barrier, so the
-    observable order equals arrival order). Each contributing request
-    is answered after its batch commits.
+    [Database.post_many] — through the compiled posting kernel — once
+    no connection has more input this turn of the loop, when the batch
+    cap ([max_batch]) is reached, or when a non-post verb arrives
+    (every other verb is a barrier, so the observable order equals
+    arrival order). There is no timer: a lone [post] on an idle server
+    is flushed in the turn that read it. Each contributing request is
+    answered after its batch commits, and the reply is written in that
+    same turn.
 
     Firing delivery: a [subscribe]d connection gets every firing as a
     [{"firing": ...}] frame, queued on a bounded per-client outbox.
@@ -42,8 +45,7 @@ val create : ?db:D.t -> config:D.Config.t -> unit -> t
     [D.create_db ~config ()]; pass one to serve a database whose
     schema was registered natively. Raises [D.Ode_error] naming the
     field, before anything is built, when a serve knob is out of range
-    ([outbox_bound], [max_batch] or [max_frame_bytes] below 1,
-    [batch_window_ms] below 0), and [Unix.Unix_error] when the address
+    ([outbox_bound], [max_batch] or [max_frame_bytes] below 1), and [Unix.Unix_error] when the address
     is taken. *)
 
 val port : t -> int
@@ -54,8 +56,8 @@ val db : t -> D.t
 val run : t -> unit
 (** The serve loop; blocks until {!stop} is called or a [shutdown]
     verb arrives, then closes every connection and the listener.
-    Pending batches are flushed and outboxes drained (best-effort,
-    bounded wait) before returning. *)
+    No batch is pending between turns of the loop; outboxes are
+    drained (best-effort, bounded wait) before returning. *)
 
 val start : t -> unit
 (** Spawn {!run} on a background thread (for tests and the in-process

@@ -35,19 +35,20 @@ let sum_ns t = t.sum_ns
 let max_ns t = t.max_ns
 let mean_ns t = if t.count = 0 then 0. else float_of_int t.sum_ns /. float_of_int t.count
 
-(* Upper bound of the bucket containing the q-th quantile (0 <= q <= 1).
-   Exact values are not retained; the bound is within 2x of the true
-   quantile, which is enough to spot a regressed tail. *)
+(* Upper bound of the bucket containing the q-th quantile (0 <= q <= 1),
+   clamped to the largest sample. Exact values are not retained; the
+   bound is within 2x of the true quantile, which is enough to spot a
+   regressed tail, and never exceeds [max_ns]. *)
 let quantile_ns t q =
   if t.count = 0 then 0
   else begin
     let rank = int_of_float (ceil (q *. float_of_int t.count)) in
     let rank = if rank < 1 then 1 else if rank > t.count then t.count else rank in
     let rec go i seen =
-      if i >= n_buckets then max_int
+      if i >= n_buckets then t.max_ns
       else
         let seen = seen + t.buckets.(i) in
-        if seen >= rank then 1 lsl (i + 1) else go (i + 1) seen
+        if seen >= rank then min (1 lsl (i + 1)) t.max_ns else go (i + 1) seen
     in
     go 0 0
   end

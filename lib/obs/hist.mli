@@ -1,7 +1,8 @@
 (** Log2-bucketed nanosecond latency histogram.
 
     Fixed memory ([n_buckets] ints), O(1) recording. Quantiles are
-    bucket upper bounds — within 2x of the true value, which is what a
+    bucket upper bounds clamped to the largest sample — within 2x of
+    the true value and never above {!max_ns}, which is what a
     serving stack needs to watch a tail, at none of the cost of keeping
     samples. *)
 
@@ -21,7 +22,9 @@ val mean_ns : t -> float
 
 val quantile_ns : t -> float -> int
 (** [quantile_ns t q] is an upper bound of the q-th quantile (e.g.
-    [quantile_ns t 0.99]); 0 when empty. *)
+    [quantile_ns t 0.99]): the upper edge of its log2 bucket, clamped
+    to {!max_ns}, so no quantile reads above the largest sample. 0 when
+    empty. *)
 
 val reset : t -> unit
 val pp : Format.formatter -> t -> unit

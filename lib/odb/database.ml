@@ -81,7 +81,6 @@ module Config = struct
   type serve = {
     host : string;
     port : int;
-    batch_window_ms : int;
     max_batch : int;
     outbox_bound : int;
     backpressure : backpressure;
@@ -101,7 +100,6 @@ module Config = struct
     {
       host = "127.0.0.1";
       port = 7912;
-      batch_window_ms = 2;
       max_batch = 8192;
       outbox_bound = 1024;
       backpressure = Block;

@@ -180,13 +180,11 @@ module Config : sig
   type serve = {
     host : string;  (** bind address (default ["127.0.0.1"]) *)
     port : int;  (** TCP port; [0] binds an ephemeral port *)
-    batch_window_ms : int;
-        (** how long incoming [post]s may linger before the server
-            flushes them as one [post_many] batch; [0] flushes at the
-            end of every read burst *)
     max_batch : int;
-        (** flush regardless of window once this many events are
-            pending *)
+        (** cap on one coalesced batch: the server flushes the
+            transaction-free [post]s it has read as one [post_many] at
+            the end of every read burst, and sooner once this many
+            events are pending *)
     outbox_bound : int;
         (** per-subscriber cap on queued firing notifications *)
     backpressure : backpressure;
@@ -195,7 +193,8 @@ module Config : sig
   }
   (** The network front door's settings — carried here so [odes serve]
       is configured by the same record that configures the engine it
-      serves. Ignored by {!create_db} itself. *)
+      serves, and takes every command-line default from
+      {!default_serve}. Ignored by {!create_db} itself. *)
 
   type t = {
     start_time : int64;
@@ -208,8 +207,10 @@ module Config : sig
   }
 
   val default_serve : serve
-  (** [127.0.0.1:7912], 2 ms batch window, 8192-event max batch,
-      1024-firing outboxes, [Block] backpressure, 16 MiB frames. *)
+  (** [127.0.0.1:7912], 8192-event max batch, 1024-firing outboxes,
+      [Block] backpressure, 16 MiB frames. There is no batching
+      window: a batch is flushed at the end of the read burst that
+      filled it. *)
 
   val default : t
   (** The documented defaults, environment ignored: image durability,

@@ -317,6 +317,16 @@ let test_hist () =
   Hist.reset h;
   Alcotest.(check int) "reset" 0 (Hist.count h)
 
+(* A quantile never reads above the largest sample: one 1,201 us sample
+   sits in the [2^20, 2^21) ns bucket, whose upper edge (2,097 us) is
+   what an unclamped quantile would report. *)
+let test_hist_clamped_to_max () =
+  let h = Hist.create () in
+  Hist.record h 1_201_000;
+  Alcotest.(check int) "max" 1_201_000 (Hist.max_ns h);
+  Alcotest.(check int) "p50 = max" 1_201_000 (Hist.quantile_ns h 0.5);
+  Alcotest.(check int) "p99 = max" 1_201_000 (Hist.quantile_ns h 0.99)
+
 (* ------------------------------------------------------------------ *)
 (* Subscriptions                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -413,6 +423,8 @@ let suite =
     Alcotest.test_case "sinks see every span" `Quick test_sinks_see_everything;
     Alcotest.test_case "trace validation" `Quick test_trace_validation;
     Alcotest.test_case "histogram bookkeeping" `Quick test_hist;
+    Alcotest.test_case "histogram quantiles clamp to max" `Quick
+      test_hist_clamped_to_max;
     Alcotest.test_case "subscription order" `Quick test_subscription_order;
     Alcotest.test_case "unsubscribe during delivery" `Quick
       test_unsubscribe_during_delivery;
