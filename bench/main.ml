@@ -2,37 +2,193 @@
 
    The paper (SIGMOD '92) has no numeric tables or figures; its evaluation
    is a set of efficiency claims about automaton-based composite-event
-   detection. Each experiment E1–E8 below measures one claim; the mapping
-   is recorded in DESIGN.md §6 and the results commentary in
-   EXPERIMENTS.md. The harness prints shape tables first, then runs one
-   Bechamel micro-benchmark per experiment. *)
+   detection. Each experiment below measures one claim; the mapping is
+   recorded in DESIGN.md §6 and the results commentary in EXPERIMENTS.md.
+   Every experiment builds rows of cells and hands them to [emit], which
+   prints the aligned table and, for the six experiments with a BENCH
+   file, writes that file with a metadata object. *)
 
 open Ode_event
 module P = Ode_lang.Parser
 module Value = Ode_base.Value
+module Json = Ode_net.Json
+module Incr = Ode_baseline.Incr
+module Reeval = Ode_baseline.Reeval
+module Stepper = Ode_reference.Stepper
 
 let pf = Fmt.pr
 let section title = pf "@.=== %s ===@." title
 
-(* simple wall-clock measurement: ns per call, batched *)
-let measure_ns ?(min_time = 0.05) f =
-  (* warm up *)
-  f ();
-  let rec calibrate batch =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to batch do
-      f ()
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt >= min_time then dt /. float_of_int batch *. 1e9
-    else calibrate (batch * 4)
-  in
-  calibrate 1
+(* ------------------------------------------------------------------ *)
+(* The harness: one clock, five repeats, one row emitter                *)
+(* ------------------------------------------------------------------ *)
 
-let time_once f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, (Unix.gettimeofday () -. t0) *. 1e9)
+(* Every timed cell runs [repeats] times. A cell whose state grows with
+   every call (a history, a queue), or whose CI step has a time bound,
+   splits its workload into [repeats] equal parts; the others repeat it
+   whole. *)
+let repeats = 5
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+
+let time_ns f =
+  let t0 = now_ns () in
+  f ();
+  float_of_int (now_ns () - t0)
+
+(* Nearest-rank [p] quantile of a sorted array. *)
+let rank a p =
+  let n = Array.length a in
+  a.(max 0 (min (n - 1) (int_of_float (ceil (p *. float_of_int n)) - 1)))
+
+type stat = { median : float; min : float; max : float; iqr : float }
+
+(* One figure per repeat, [f r] for repeat r. *)
+let rep f =
+  let a = Array.init repeats f in
+  Array.sort compare a;
+  { median = rank a 0.5; min = a.(0); max = a.(repeats - 1);
+    iqr = rank a 0.75 -. rank a 0.25 }
+
+(* ns per call of [f], or per item of a call that handles [per]: each
+   repeat times a batch calibrated to take at least [min_ns]. *)
+let per_call ?(min_ns = 1e7) ?(per = 1) f =
+  f ();
+  let run b () = for _ = 1 to b do f () done in
+  let rec calibrate b = if time_ns (run b) >= min_ns then b else calibrate (b * 4) in
+  let b = calibrate 1 in
+  rep (fun _ -> time_ns (run b) /. float_of_int (b * per))
+
+(* ns per call of [f j] for a fixed count of calls, [each] per repeat,
+   j counting on from 0 across the repeats: for stateful workloads that
+   a calibration loop would grow. *)
+let calls ~each f =
+  rep (fun r ->
+      time_ns (fun () -> for j = r * each to ((r + 1) * each) - 1 do f j done)
+      /. float_of_int each)
+
+type cell =
+  | I of int
+  | F of float
+  | S of string
+  | T of stat  (** a timed cell *)
+  | Na  (** not measured: [-] in the table, [null] in the file *)
+
+(* The [p] percentile of the samples [xs], by perfbench's rule: only
+   when at least ten samples lie beyond it. *)
+let pct xs p =
+  let n = Array.length xs in
+  if n - int_of_float (ceil (p *. float_of_int n)) < 10 then Na
+  else begin
+    let a = Array.copy xs in
+    Array.sort compare a;
+    F (rank a p)
+  end
+
+(* The median of a timed cell, for the shape lines. *)
+let med row key = match List.assoc key row with T s -> s.median | _ -> nan
+
+(* three significant digits, or the integer part when it is longer *)
+let num x =
+  let a = Float.abs x in
+  Printf.sprintf "%.*f" (if a >= 100. then 0 else if a >= 10. then 1 else 2) x
+
+let text = function
+  | I n -> string_of_int n
+  | F x -> num x
+  | S s -> s
+  | T s -> Printf.sprintf "%s +-%.0f%%" (num s.median) (50.0 *. s.iqr /. s.median)
+  | Na -> "-"
+
+let json c =
+  let f x =
+    if Float.is_finite x then Json.Float (float_of_string (num x)) else Json.Null
+  in
+  match c with
+  | I n -> Json.Int n
+  | F x -> f x
+  | S s -> Json.String s
+  | T s ->
+    Json.Obj
+      [ ("median", f s.median); ("min", f s.min); ("max", f s.max); ("iqr", f s.iqr) ]
+  | Na -> Json.Null
+
+(* Columns headed by their keys; strings flush left, numbers right. *)
+let print_table = function
+  | [] -> ()
+  | first :: _ as rows ->
+    let lines = List.map fst first :: List.map (List.map (fun (_, c) -> text c)) rows in
+    let width i =
+      List.fold_left (fun w l -> max w (String.length (List.nth l i))) 0 lines
+    in
+    let cell i ((_, c), s) =
+      match c with
+      | S _ -> Printf.sprintf "%-*s" (width i) s
+      | _ -> Printf.sprintf "%*s" (width i) s
+    in
+    List.iter
+      (fun l -> pf "%s@." (String.concat "  " (List.mapi cell (List.combine first l))))
+      lines
+
+(* perfbench's field names, so runs of either can be matched up *)
+let metadata () =
+  let commit =
+    if not (Sys.file_exists ".git") then None
+    else begin
+      let ic = Unix.open_process_in "git rev-parse HEAD 2>/dev/null" in
+      let line = In_channel.input_line ic in
+      ignore (Unix.close_process_in ic);
+      line
+    end
+  in
+  let tm = Unix.gmtime (Unix.time ()) in
+  Json.Obj
+    [
+      ("commit", Json.String (Option.value commit ~default:"unknown"));
+      ("nproc", Json.Int (Domain.recommended_domain_count ()));
+      ("ocaml", Json.String Sys.ocaml_version);
+      ( "date",
+        Json.String
+          (Printf.sprintf "%04d-%02d-%02dT%02d:%02d:%02dZ" (tm.Unix.tm_year + 1900)
+             (tm.Unix.tm_mon + 1) tm.Unix.tm_mday tm.Unix.tm_hour tm.Unix.tm_min
+             tm.Unix.tm_sec) );
+      ("repeats", Json.Int repeats);
+    ]
+
+(* Print each table. With [file], also write it: the [about] strings,
+   the metadata, then each table under its name, one row per line. *)
+let emit ?file ?(about = []) tables =
+  List.iter (fun (_, rows) -> print_table rows) tables;
+  Option.iter
+    (fun file ->
+      let row r = Json.to_string (Json.Obj (List.map (fun (k, c) -> (k, json c)) r)) in
+      let table rs = "[\n    " ^ String.concat ",\n    " (List.map row rs) ^ "\n  ]" in
+      let fields =
+        List.map (fun (k, v) -> (k, Json.to_string (Json.String v))) about
+        @ [ ("metadata", Json.to_string (metadata ())) ]
+        @ List.map (fun (k, rs) -> (k, table rs)) tables
+      in
+      let field (k, v) = Printf.sprintf "  %S: %s" k v in
+      Out_channel.with_open_text file (fun oc ->
+          Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" (List.map field fields)));
+      pf "wrote %s@." file)
+    file
+
+let fresh_dir prefix =
+  let d = Filename.temp_file prefix "" in
+  Sys.remove d;
+  Unix.mkdir d 0o755;
+  d
+
+(* Run [f] in a transaction of [db] that must commit. *)
+let in_txn db f =
+  match Ode_odb.Database.with_txn db (fun _ -> f ()) with
+  | Ok x -> x
+  | Error `Aborted -> failwith "bench: transaction aborted"
+
+(* a bare timer-queue entry, for the queue-level timer benchmarks *)
+let timer ~seq ~oid ~trigger ~spec due =
+  { Ode_odb.Types.tm_due = due; tm_seq = seq; tm_oid = oid; tm_trigger = trigger;
+    tm_epoch = 0; tm_spec = spec; tm_anchor = 0L }
 
 let seeded_history ~m ~len seed =
   Array.init len (fun i -> (seed + (i * 7919) + (i * i * 31)) mod m)
@@ -63,8 +219,6 @@ let e1 () =
   let mask _ = true in
   pf "expr: %s@." e1_expr;
   pf "(re-evaluation is O(history) per event and is skipped past 3000)@.";
-  pf "%8s %14s %14s %14s %12s@." "history" "dfa ns/ev" "tree ns/ev" "reeval ns/ev"
-    "tree insts";
   let rows =
     List.map
       (fun n ->
@@ -72,50 +226,39 @@ let e1 () =
         let state = Compile.initial compiled in
         Array.iter (fun sym -> ignore (Compile.step compiled state sym ~mask)) h;
         let i = ref 0 in
-        let dfa_ns =
-          measure_ns (fun () ->
+        let dfa =
+          per_call (fun () ->
               ignore (Compile.step compiled state h.(!i mod n) ~mask);
               incr i)
         in
         (* stateful baselines grow with every post: time a fixed batch of
            200 further events at length n rather than letting a
            calibration loop inflate the history *)
-        let batch = 200 in
-        let tree = Ode_baseline.Incr.make lowered in
-        Array.iter (fun sym -> ignore (Ode_baseline.Incr.post tree ~mask sym)) h;
-        let insts = Ode_baseline.Incr.instance_count tree in
-        let (), tree_total =
-          time_once (fun () ->
-              for j = 0 to batch - 1 do
-                ignore (Ode_baseline.Incr.post tree ~mask h.(j mod n))
-              done)
+        let tree = Incr.make lowered in
+        Array.iter (fun sym -> ignore (Incr.post tree ~mask sym)) h;
+        let insts = Incr.instance_count tree in
+        let tree_ns =
+          calls ~each:(200 / repeats) (fun j -> ignore (Incr.post tree ~mask h.(j mod n)))
         in
-        let tree_ns = tree_total /. float_of_int batch in
-        let reeval_ns =
-          if n > 3000 then None
+        let reeval =
+          if n > 3000 then Na
           else begin
-            let re = Ode_baseline.Reeval.make lowered in
-            Array.iter (fun sym -> ignore (Ode_baseline.Reeval.post re ~mask sym)) h;
-            let small_batch = 20 in
-            let (), total =
-              time_once (fun () ->
-                  for k = 0 to small_batch - 1 do
-                    ignore (Ode_baseline.Reeval.post re ~mask h.(k mod n))
-                  done)
-            in
-            Some (total /. float_of_int small_batch)
+            let re = Reeval.make lowered in
+            Array.iter (fun sym -> ignore (Reeval.post re ~mask sym)) h;
+            let post k = ignore (Reeval.post re ~mask h.(k mod n)) in
+            T (calls ~each:(20 / repeats) post)
           end
         in
-        pf "%8d %14.0f %14.0f %14s %12d@." n dfa_ns tree_ns
-          (match reeval_ns with Some ns -> Fmt.str "%.0f" ns | None -> "-")
-          insts;
-        (n, dfa_ns, tree_ns, reeval_ns))
+        [ ("history", I n); ("dfa_ns_per_ev", T dfa); ("tree_ns_per_ev", T tree_ns);
+          ("reeval_ns_per_ev", reeval); ("tree_insts", I insts) ])
       [ 100; 300; 1000; 3000; 10_000 ]
   in
+  emit [ ("rows", rows) ];
   match rows, List.rev rows with
-  | (_, d0, t0, _) :: _, (_, d1, t1, _) :: _ ->
-    pf "shape: dfa cost %.1fx from n=100 to n=10000; tree cost %.1fx@." (d1 /. d0)
-      (t1 /. t0)
+  | r0 :: _, r1 :: _ ->
+    let ratio key = med r1 key /. med r0 key in
+    pf "shape: dfa cost %.1fx from n=100 to n=10000; tree cost %.1fx@."
+      (ratio "dfa_ns_per_ev") (ratio "tree_ns_per_ev")
   | _ -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -124,41 +267,39 @@ let e1 () =
 
 let e2 () =
   section "E2: automaton size / compile time vs expression size (§4-5)";
+  let list sep f d = String.concat sep (List.init d f) in
+  let chain op d = op ^ "(" ^ list ", " (Printf.sprintf "after m%d") d ^ ")" in
+  let rec tower i =
+    if i = 0 then "after base" else Printf.sprintf "!(%s & after m%d)" (tower (i - 1)) i
+  in
   let families =
     [
-      ("sequence chain", fun d ->
-        "sequence(" ^ String.concat ", " (List.init d (fun i -> Printf.sprintf "after m%d" i)) ^ ")");
-      ("relative chain", fun d ->
-        "relative(" ^ String.concat ", " (List.init d (fun i -> Printf.sprintf "after m%d" i)) ^ ")");
-      ("prior chain", fun d ->
-        "prior(" ^ String.concat ", " (List.init d (fun i -> Printf.sprintf "after m%d" i)) ^ ")");
-      ("alternation", fun d ->
-        String.concat " | " (List.init d (fun i -> Printf.sprintf "after m%d; after n%d" i i)));
-      ("negation tower", fun d ->
-        let rec build i = if i = 0 then "after base" else "!(" ^ build (i - 1) ^ " & after m" ^ string_of_int i ^ ")" in
-        build d);
+      ("sequence chain", chain "sequence");
+      ("relative chain", chain "relative");
+      ("prior chain", chain "prior");
+      ("alternation", list " | " (fun i -> Printf.sprintf "after m%d; after n%d" i i));
+      ("negation tower", tower);
     ]
   in
-  pf "%-16s %6s %10s %12s %14s@." "family" "depth" "leaves" "dfa states" "compile ns";
-  List.iter
-    (fun (name, make) ->
-      List.iter
-        (fun d ->
-          let src = make d in
-          let expr = P.parse_event src in
-          let states = ref 0 in
-          let leaves = List.length (Expr.logical_events expr) in
-          let ns =
-            measure_ns ~min_time:0.02 (fun () ->
-                let alphabet, lowered, _ = Rewrite.build expr in
-                let c = Compile.compile ~m:(Rewrite.n_symbols alphabet) lowered in
-                states := Compile.total_dfa_states c)
-          in
-          let states, leaves = ((!states, leaves)) in
-          let states, leaves = (states, leaves) in
-          pf "%-16s %6d %10d %12d %14.0f@." name d leaves states ns)
-        [ 1; 2; 4; 6; 8 ])
-    families
+  let row name depth src =
+    let expr = P.parse_event src in
+    let states = ref 0 in
+    let ns =
+      per_call ~min_ns:4e6 (fun () ->
+          let alphabet, lowered, _ = Rewrite.build expr in
+          let c = Compile.compile ~m:(Rewrite.n_symbols alphabet) lowered in
+          states := Compile.total_dfa_states c)
+    in
+    [ ("family", S name); ("depth", depth);
+      ("leaves", I (List.length (Expr.logical_events expr))); ("dfa_states", I !states);
+      ("compile_ns", T ns) ]
+  in
+  let sweep (name, make) =
+    List.map (fun d -> row name (I d) (make d)) [ 1; 2; 4; 6; 8 ]
+  in
+  (* and the stockroom's T8, the paper's adjacency example *)
+  let t8 = row "stockroom T8" Na "after deposit; before withdraw; after withdraw" in
+  emit [ ("rows", List.concat_map sweep families @ [ t8 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* E3: detection-state memory per object                               *)
@@ -171,21 +312,19 @@ let e3 () =
   let compiled = Compile.compile ~m lowered in
   let n_objects = 1000 in
   pf "%d objects, one active trigger each, after n events per object:@." n_objects;
-  pf "%8s %18s %18s %18s@." "n" "dfa bytes/obj" "tree bytes/obj" "reeval bytes/obj";
-  List.iter
-    (fun n ->
-      let h = seeded_history ~m ~len:n 7 in
-      let mask _ = true in
-      (* automaton state: one int array per object *)
-      let dfa_bytes = 8 * Compile.n_state_words compiled in
-      let tree = Ode_baseline.Incr.make lowered in
-      Array.iter (fun sym -> ignore (Ode_baseline.Incr.post tree ~mask sym)) h;
-      let re = Ode_baseline.Reeval.make lowered in
-      Array.iter (fun sym -> ignore (Ode_baseline.Reeval.post re ~mask sym)) h;
-      pf "%8d %18d %18d %18d@." n dfa_bytes
-        (Ode_baseline.Incr.state_bytes tree)
-        (Ode_baseline.Reeval.state_bytes re))
-    [ 10; 100; 1000 ]
+  let mask _ = true in
+  let row n =
+    let h = seeded_history ~m ~len:n 7 in
+    let tree = Incr.make lowered in
+    Array.iter (fun sym -> ignore (Incr.post tree ~mask sym)) h;
+    let re = Reeval.make lowered in
+    Array.iter (fun sym -> ignore (Reeval.post re ~mask sym)) h;
+    (* automaton state: one int array per object *)
+    [ ("n", I n); ("dfa_bytes_per_obj", I (8 * Compile.n_state_words compiled));
+      ("tree_bytes_per_obj", I (Incr.state_bytes tree));
+      ("reeval_bytes_per_obj", I (Reeval.state_bytes re)) ]
+  in
+  emit [ ("rows", List.map row [ 10; 100; 1000 ]) ]
 
 (* ------------------------------------------------------------------ *)
 (* E4: the committed-history lift (§6)                                 *)
@@ -225,22 +364,21 @@ let e4 () =
     Array.of_list !out
   in
   let h = gen_h 3000 in
-  pf "%-22s %8s %8s %10s %14s %14s@." "expr" "|A|" "|A'|" "bound" "A ns/ev" "A' ns/ev";
-  List.iter
-    (fun (name, e) ->
-      let a = Compile.compile_pure ~m e in
-      let a' = Committed.lift a ~tbegin:tb ~tcommit:tc ~tabort:ta in
-      let bench d =
-        let s = ref d.Dfa.start in
-        let i = ref 0 in
-        measure_ns (fun () ->
-            s := Dfa.step d !s h.(!i mod Array.length h);
-            incr i)
-      in
-      pf "%-22s %8d %8d %10d %14.0f %14.0f@." name (Dfa.n_states a) (Dfa.n_states a')
-        (Dfa.n_states a * Dfa.n_states a)
-        (bench a) (bench a'))
-    exprs
+  let bench d =
+    let s = ref d.Dfa.start in
+    let i = ref 0 in
+    per_call (fun () ->
+        s := Dfa.step d !s h.(!i mod Array.length h);
+        incr i)
+  in
+  let row (name, e) =
+    let a = Compile.compile_pure ~m e in
+    let a' = Committed.lift a ~tbegin:tb ~tcommit:tc ~tabort:ta in
+    [ ("expr", S name); ("|A|", I (Dfa.n_states a)); ("|A'|", I (Dfa.n_states a'));
+      ("bound", I (Dfa.n_states a * Dfa.n_states a)); ("A_ns_per_ev", T (bench a));
+      ("A'_ns_per_ev", T (bench a')) ]
+  in
+  emit [ ("rows", List.map row exprs) ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: mask-disjointness rewriting blowup (§5)                         *)
@@ -248,36 +386,37 @@ let e4 () =
 
 let e5 () =
   section "E5: overlapping-mask rewriting (§5 claim: 2^k atoms, acceptable in practice)";
-  pf "%4s %8s %12s %14s %16s@." "k" "atoms" "dfa states" "build ns" "classify ns/ev";
-  List.iter
-    (fun k ->
-      let leaves =
-        List.init k (fun i -> Printf.sprintf "before log && x%d > 0" i)
-      in
-      let src = String.concat " | " leaves in
-      let expr = P.parse_event src in
-      let (alphabet, det), build_ns =
-        time_once (fun () ->
-            let alphabet, _, _ = Rewrite.build expr in
-            (alphabet, Detector.make expr))
-      in
-      let env =
-        {
-          Mask.empty_env with
-          var =
-            (fun name ->
-              let i = int_of_string (String.sub name 1 (String.length name - 1)) in
-              Some (Value.Int (if i mod 2 = 0 then 1 else 0)));
-        }
-      in
-      let occ = { Symbol.basic = Symbol.Method (Before, "log"); args = []; at = 0L } in
-      let state = Detector.initial det in
-      let classify_ns = measure_ns (fun () -> ignore (Detector.post det state ~env occ)) in
-      pf "%4d %8d %12d %14.0f %16.0f@." k
-        (Array.length alphabet.Rewrite.atoms)
-        (Compile.total_dfa_states det.Detector.compiled)
-        build_ns classify_ns)
-    [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  let rows =
+    List.map
+      (fun k ->
+        let leaves = List.init k (fun i -> Printf.sprintf "before log && x%d > 0" i) in
+        let expr = P.parse_event (String.concat " | " leaves) in
+        let build () =
+          let alphabet, _, _ = Rewrite.build expr in
+          (alphabet, Detector.make expr)
+        in
+        let alphabet, det = build () in
+        let build_ns = rep (fun _ -> time_ns (fun () -> ignore (build ()))) in
+        let env =
+          {
+            Mask.empty_env with
+            var =
+              (fun name ->
+                let i = int_of_string (String.sub name 1 (String.length name - 1)) in
+                Some (Value.Int (if i mod 2 = 0 then 1 else 0)));
+          }
+        in
+        let occ = { Symbol.basic = Symbol.Method (Before, "log"); args = []; at = 0L } in
+        let state = Detector.initial det in
+        let classify_ns =
+          per_call (fun () -> ignore (Detector.post det state ~env occ))
+        in
+        [ ("k", I k); ("atoms", I (Array.length alphabet.Rewrite.atoms));
+          ("dfa_states", I (Compile.total_dfa_states det.Detector.compiled));
+          ("build_ns", T build_ns); ("classify_ns_per_ev", T classify_ns) ])
+      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  in
+  emit [ ("rows", rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E6: coupling modes (§7)                                             *)
@@ -287,36 +426,36 @@ let e6 () =
   section "E6: the nine coupling modes as event expressions (§7)";
   let cond = Mask.Call ("cond", []) in
   let event = Expr.after "edit" in
+  let env =
+    { Mask.empty_env with var = (fun _ -> None); call = (fun _ _ -> Value.Bool true) }
+  in
   (* a plausible transaction stream at the automaton level *)
-  pf "%-24s %10s %12s %14s@." "mode" "states" "state words" "detect ns/ev";
-  List.iter
-    (fun mode ->
-      let expr = Coupling.expression mode ~event ~cond in
-      let det = Detector.make expr in
-      let env =
-        { Mask.empty_env with var = (fun _ -> None) }
-      in
-      let env = { env with Mask.call = (fun _ _ -> Value.Bool true) } in
-      let stream =
-        [
-          Symbol.Tbegin; Symbol.Access Before; Symbol.Method (Before, "edit");
-          Symbol.Method (After, "edit"); Symbol.Access After; Symbol.Tcomplete;
-          Symbol.Tcommit;
-        ]
-      in
-      let occs = List.map (fun b -> { Symbol.basic = b; args = []; at = 0L }) stream in
-      let state = Detector.initial det in
-      let i = ref 0 in
-      let occs = Array.of_list occs in
-      let ns =
-        measure_ns (fun () ->
-            ignore (Detector.post det state ~env occs.(!i mod Array.length occs));
-            incr i)
-      in
-      pf "%-24s %10d %12d %14.0f@." (Coupling.name mode)
-        (Compile.total_dfa_states det.Detector.compiled)
-        (Detector.n_state_words det) ns)
-    Coupling.all
+  let occs =
+    Array.map
+      (fun b -> { Symbol.basic = b; args = []; at = 0L })
+      [|
+        Symbol.Tbegin; Symbol.Access Before; Symbol.Method (Before, "edit");
+        Symbol.Method (After, "edit"); Symbol.Access After; Symbol.Tcomplete;
+        Symbol.Tcommit;
+      |]
+  in
+  let rows =
+    List.map
+      (fun mode ->
+        let det = Detector.make (Coupling.expression mode ~event ~cond) in
+        let state = Detector.initial det in
+        let i = ref 0 in
+        let ns =
+          per_call (fun () ->
+              ignore (Detector.post det state ~env occs.(!i mod Array.length occs));
+              incr i)
+        in
+        [ ("mode", S (Coupling.name mode));
+          ("states", I (Compile.total_dfa_states det.Detector.compiled));
+          ("state_words", I (Detector.n_state_words det)); ("detect_ns_per_ev", T ns) ])
+      Coupling.all
+  in
+  emit [ ("rows", rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E7: end-to-end stockroom throughput                                 *)
@@ -326,36 +465,24 @@ let e7 () =
   section "E7: stockroom transaction throughput vs active triggers (§3.5/§5)";
   let module S = Ode_scenarios.Stockroom in
   let module D = Ode_odb.Database in
-  let run k_triggers =
+  let row k_triggers =
     let s = S.setup ~activate:false () in
     let names = [ "T1"; "T2"; "T3"; "T4"; "T5"; "T6"; "T7"; "T8" ] in
     let to_activate = List.filteri (fun i _ -> i < k_triggers) names in
-    (match
-       D.with_txn s.S.db (fun _ ->
-           List.iter (fun n -> D.activate s.S.db s.S.stockroom n []) to_activate)
-     with
-    | Ok () -> ()
-    | Error `Aborted -> failwith "activation aborted");
+    in_txn s.S.db (fun () ->
+        List.iter (fun n -> D.activate s.S.db s.S.stockroom n []) to_activate);
     let item = S.new_item s ~name:"w" ~eoq:1 ~balance:max_int in
-    let n_txns = 300 in
-    let _, total_ns =
-      time_once (fun () ->
-          for i = 1 to n_txns do
-            ignore (S.withdraw s ~item ~qty:(if i mod 3 = 0 then 150 else 10))
-          done)
+    let ns =
+      calls ~each:300 (fun j ->
+          ignore (S.withdraw s ~item ~qty:(if (j + 1) mod 3 = 0 then 150 else 10)))
     in
-    (k_triggers, total_ns /. float_of_int n_txns)
+    [ ("triggers", I k_triggers); ("ns_per_txn", T ns);
+      ("txn_per_s", F (1e9 /. ns.median)) ]
   in
-  pf "%10s %16s %14s@." "triggers" "us/txn" "txn/s";
-  let baseline = ref 0.0 in
-  List.iter
-    (fun k ->
-      let _, ns = run k in
-      if k = 0 then baseline := ns;
-      pf "%10d %16.1f %14.0f@." k (ns /. 1e3) (1e9 /. ns))
-    [ 0; 1; 2; 4; 8 ];
-  let _, ns8 = run 8 in
-  pf "shape: all 8 paper triggers cost %.1fx over no triggers@." (ns8 /. !baseline)
+  let rows = List.map row [ 0; 1; 2; 4; 8 ] in
+  emit [ ("rows", rows) ];
+  pf "shape: all 8 paper triggers cost %.1fx over no triggers@."
+    (med (List.nth rows 4) "ns_per_txn" /. med (List.hd rows) "ns_per_txn")
 
 (* ------------------------------------------------------------------ *)
 (* E8: counting operators (§3.4): states linear in n                   *)
@@ -363,16 +490,21 @@ let e7 () =
 
 let e8 () =
   section "E8: counting-operator automaton size (choose/every/prior n)";
-  pf "%6s %12s %12s %12s@." "n" "choose" "every" "prior";
-  List.iter
-    (fun n ->
-      let states op =
-        let expr = P.parse_event (Printf.sprintf "%s %d (after f)" op n) in
-        let alphabet, lowered, _ = Rewrite.build expr in
-        Dfa.n_states (Compile.compile_pure ~m:(Rewrite.n_symbols alphabet) lowered)
-      in
-      pf "%6d %12d %12d %12d@." n (states "choose") (states "every") (states "prior"))
-    [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
+  let parse op n = P.parse_event (Printf.sprintf "%s %d (after f)" op n) in
+  let states op n =
+    let alphabet, lowered, _ = Rewrite.build (parse op n) in
+    I (Dfa.n_states (Compile.compile_pure ~m:(Rewrite.n_symbols alphabet) lowered))
+  in
+  let rows =
+    List.map
+      (fun n ->
+        let choose = parse "choose" n in
+        let compile_ns = per_call ~min_ns:4e6 (fun () -> ignore (Detector.make choose)) in
+        [ ("n", I n); ("choose", states "choose" n); ("every", states "every" n);
+          ("prior", states "prior" n); ("choose_compile_ns", T compile_ns) ])
+      [ 1; 2; 4; 8; 16; 32; 64; 128; 256 ]
+  in
+  emit [ ("rows", rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E9 (ablation): one automaton per class (§5 footnote 5)              *)
@@ -396,47 +528,50 @@ let e9 () =
     ]
   in
   let env = Mask.empty_env in
-  let stream =
-    [|
-      Symbol.Method (After, "access"); Symbol.Method (After, "deposit");
-      Symbol.Method (Before, "withdraw"); Symbol.Method (After, "withdraw");
-      Symbol.Tcommit; Symbol.Method (After, "m0"); Symbol.Method (After, "m1");
-      Symbol.Method (After, "m2");
-    |]
-  in
   let occs =
-    Array.map (fun b -> { Symbol.basic = b; args = []; at = 0L }) stream
+    Array.map
+      (fun b -> { Symbol.basic = b; args = []; at = 0L })
+      [|
+        Symbol.Method (After, "access"); Symbol.Method (After, "deposit");
+        Symbol.Method (Before, "withdraw"); Symbol.Method (After, "withdraw");
+        Symbol.Tcommit; Symbol.Method (After, "m0"); Symbol.Method (After, "m1");
+        Symbol.Method (After, "m2");
+      |]
   in
-  pf "%-24s %4s %10s %10s %14s %14s %12s@." "trigger set" "k" "sum |A|" "combined"
-    "separate ns/ev" "combined ns/ev" "state words";
-  List.iter
-    (fun (name, srcs) ->
-      let exprs = List.map P.parse_event srcs in
-      let detectors = List.map Detector.make exprs in
-      let states = List.map Detector.initial detectors in
-      let i = ref 0 in
-      let sep_ns =
-        measure_ns (fun () ->
-            let occ = occs.(!i mod Array.length occs) in
-            List.iter2
-              (fun det st -> ignore (Detector.post det st ~env occ))
-              detectors states;
-            incr i)
-      in
-      let combined = Combine.make exprs in
-      let cstate = ref (Combine.initial combined) in
-      let j = ref 0 in
-      let comb_ns =
-        measure_ns (fun () ->
-            let occ = occs.(!j mod Array.length occs) in
-            let s, _ = Combine.post combined !cstate ~env occ in
-            cstate := s;
-            incr j)
-      in
-      pf "%-24s %4d %10d %10d %14.0f %14.0f %6d vs 1@." name (List.length exprs)
-        (Combine.sum_of_parts combined)
-        (Combine.n_states combined) sep_ns comb_ns (List.length exprs))
-    trigger_sets
+  let rows =
+    List.map
+      (fun (name, srcs) ->
+        let exprs = List.map P.parse_event srcs in
+        let detectors = List.map Detector.make exprs in
+        let states = List.map Detector.initial detectors in
+        let i = ref 0 in
+        let sep_ns =
+          per_call (fun () ->
+              let occ = occs.(!i mod Array.length occs) in
+              List.iter2
+                (fun det st -> ignore (Detector.post det st ~env occ))
+                detectors states;
+              incr i)
+        in
+        let combined = Combine.make exprs in
+        let cstate = ref (Combine.initial combined) in
+        let j = ref 0 in
+        let comb_ns =
+          per_call (fun () ->
+              let occ = occs.(!j mod Array.length occs) in
+              let s, _ = Combine.post combined !cstate ~env occ in
+              cstate := s;
+              incr j)
+        in
+        let k = List.length exprs in
+        [ ("trigger_set", S name); ("k", I k);
+          ("sum_states", I (Combine.sum_of_parts combined));
+          ("combined_states", I (Combine.n_states combined));
+          ("separate_ns_per_ev", T sep_ns); ("combined_ns_per_ev", T comb_ns);
+          ("state_words", S (Printf.sprintf "%d vs 1" k)) ])
+      trigger_sets
+  in
+  emit [ ("rows", rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E10 (ablation): minimization during compilation                     *)
@@ -458,29 +593,29 @@ let e10 () =
       ("negated sequence", "!(after a; after b) & relative(after c, !(after d | after e))");
     ]
   in
-  pf "%-20s %14s %14s %14s %14s@." "expr" "min states" "raw states" "min compile"
-    "raw compile";
-  List.iter
-    (fun (name, src) ->
-      let expr = P.parse_event src in
-      let build () =
-        let alphabet, lowered, _ = Rewrite.build expr in
-        Compile.compile ~m:(Rewrite.n_symbols alphabet) lowered
-      in
-      Compile.minimization := true;
-      let states_min = ref 0 in
-      let t_min =
-        measure_ns ~min_time:0.02 (fun () -> states_min := Compile.total_dfa_states (build ()))
-      in
-      Compile.minimization := false;
-      let states_raw = ref 0 in
-      let t_raw =
-        measure_ns ~min_time:0.02 (fun () -> states_raw := Compile.total_dfa_states (build ()))
-      in
-      Compile.minimization := true;
-      pf "%-20s %14d %14d %12.0fus %12.0fus@." name !states_min !states_raw
-        (t_min /. 1e3) (t_raw /. 1e3))
-    exprs
+  let rows =
+    List.map
+      (fun (name, src) ->
+        let expr = P.parse_event src in
+        let compile minimize =
+          Compile.minimization := minimize;
+          let states = ref 0 in
+          let ns =
+            per_call ~min_ns:4e6 (fun () ->
+                let alphabet, lowered, _ = Rewrite.build expr in
+                let c = Compile.compile ~m:(Rewrite.n_symbols alphabet) lowered in
+                states := Compile.total_dfa_states c)
+          in
+          Compile.minimization := true;
+          (!states, ns)
+        in
+        let min_states, min_ns = compile true in
+        let raw_states, raw_ns = compile false in
+        [ ("expr", S name); ("min_states", I min_states); ("raw_states", I raw_states);
+          ("min_compile_ns", T min_ns); ("raw_compile_ns", T raw_ns) ])
+      exprs
+  in
+  emit [ ("rows", rows) ]
 
 (* ------------------------------------------------------------------ *)
 (* E11 (ablation): native closures vs the interpreted ODL surface       *)
@@ -489,15 +624,10 @@ let e10 () =
 let e11 () =
   section "E11 (ablation): native OCaml bodies vs interpreted ODL bodies";
   let module D = Ode_odb.Database in
-  let run_txns db oid n =
-    let _, total =
-      time_once (fun () ->
-          for _ = 1 to n do
-            match D.with_txn db (fun _ -> ignore (D.call db oid "incr" [])) with
-            | Ok () | Error `Aborted -> ()
-          done)
-    in
-    total /. float_of_int n
+  let run_txns db oid =
+    calls ~each:2000 (fun _ ->
+        match D.with_txn db (fun _ -> ignore (D.call db oid "incr" [])) with
+        | Ok () | Error `Aborted -> ())
   in
   (* native *)
   let native_db = D.create_db () in
@@ -517,11 +647,7 @@ let e11 () =
     |> fun b ->
     D.trigger_str b ~perpetual:true "watch" ~event:"every 10 (after incr)"
       ~action:(fun db ctx -> ignore (D.call db ctx.D.fc_oid "alert" [])));
-  let native_oid =
-    match D.with_txn native_db (fun _ -> D.create native_db "cell" []) with
-    | Ok oid -> oid
-    | Error `Aborted -> failwith "abort"
-  in
+  let native_oid = in_txn native_db (fun () -> D.create native_db "cell" []) in
   (* interpreted *)
   let odl_db = D.create_db () in
   ignore
@@ -538,18 +664,14 @@ let e11 () =
          watch() : perpetual every 10 (after incr) ==> alert();
        };
        |});
-  let odl_oid =
-    match D.with_txn odl_db (fun _ -> D.create odl_db "cell" []) with
-    | Ok oid -> oid
-    | Error `Aborted -> failwith "abort"
+  let odl_oid = in_txn odl_db (fun () -> D.create odl_db "cell" []) in
+  let row name ns =
+    [ ("surface", S name); ("ns_per_txn", T ns); ("txn_per_s", F (1e9 /. ns.median)) ]
   in
-  let n = 2000 in
-  let native_ns = run_txns native_db native_oid n in
-  let odl_ns = run_txns odl_db odl_oid n in
-  pf "%-12s %14s %14s@." "surface" "us/txn" "txn/s";
-  pf "%-12s %14.2f %14.0f@." "native" (native_ns /. 1e3) (1e9 /. native_ns);
-  pf "%-12s %14.2f %14.0f@." "ODL" (odl_ns /. 1e3) (1e9 /. odl_ns);
-  pf "shape: interpretation costs %.2fx@." (odl_ns /. native_ns)
+  let native = run_txns native_db native_oid in
+  let odl = run_txns odl_db odl_oid in
+  emit [ ("rows", [ row "native" native; row "ODL" odl ]) ];
+  pf "shape: interpretation costs %.2fx@." (odl.median /. native.median)
 
 (* ------------------------------------------------------------------ *)
 (* E12 (extension): full provenance vs one-word detection (§9)          *)
@@ -567,37 +689,38 @@ let e12 () =
       { Symbol.basic = Symbol.Method (After, "credit");
         args = [ Value.Oid i; Value.Int i ]; at = 0L }
   in
-  pf "%8s %16s %18s %14s %12s@." "history" "detector ns/ev" "provenance ns/ev"
-    "witnesses/ev" "instances";
-  List.iter
-    (fun n ->
-      let det = Detector.make expr in
-      let state = Detector.initial det in
-      for i = 0 to n - 1 do
-        ignore (Detector.post det state ~env (mk_occ i))
-      done;
-      let i = ref n in
-      let det_ns =
-        measure_ns (fun () ->
-            ignore (Detector.post det state ~env (mk_occ !i));
-            incr i)
-      in
-      let prov = Provenance.make ~max_matches:100_000 expr in
-      for i = 0 to n - 1 do
-        ignore (Provenance.post prov ~env (mk_occ i))
-      done;
-      let batch = 60 in
-      let witnesses = ref 0 in
-      let (), total =
-        time_once (fun () ->
-            for j = 0 to batch - 1 do
-              witnesses := !witnesses + List.length (Provenance.post prov ~env (mk_occ (n + j)))
-            done)
-      in
-      pf "%8d %16.0f %18.0f %14.1f %12d@." n det_ns (total /. float_of_int batch)
-        (float_of_int !witnesses /. float_of_int batch)
-        (Provenance.instance_count prov))
-    [ 30; 100; 300; 1000 ];
+  let rows =
+    List.map
+      (fun n ->
+        let det = Detector.make expr in
+        let state = Detector.initial det in
+        for i = 0 to n - 1 do
+          ignore (Detector.post det state ~env (mk_occ i))
+        done;
+        let i = ref n in
+        let det_ns =
+          per_call (fun () ->
+              ignore (Detector.post det state ~env (mk_occ !i));
+              incr i)
+        in
+        let prov = Provenance.make ~max_matches:100_000 expr in
+        for i = 0 to n - 1 do
+          ignore (Provenance.post prov ~env (mk_occ i))
+        done;
+        let batch = 60 in
+        let witnesses = ref 0 in
+        let prov_ns =
+          calls ~each:(batch / repeats) (fun j ->
+              let found = Provenance.post prov ~env (mk_occ (n + j)) in
+              witnesses := !witnesses + List.length found)
+        in
+        [ ("history", I n); ("detector_ns_per_ev", T det_ns);
+          ("provenance_ns_per_ev", T prov_ns);
+          ("witnesses_per_ev", F (float_of_int !witnesses /. float_of_int batch));
+          ("instances", I (Provenance.instance_count prov)) ])
+      [ 30; 100; 300; 1000 ]
+  in
+  emit [ ("rows", rows) ];
   pf "shape: the automaton stays O(1); provenance pays per live witness — §5's budget\n\
       is what the one-word design buys.@."
 
@@ -636,65 +759,45 @@ let inert_trigger_db n =
   in
   let b = add b 0 in
   D.register_class db b;
-  match
-    D.with_txn db (fun _ ->
-        let oid = D.create db "hot" [] in
-        for i = 0 to n - 1 do
-          D.activate db oid (Printf.sprintf "t%d" i) []
-        done;
-        oid)
-  with
-  | Ok oid -> (db, oid)
-  | Error `Aborted -> failwith "abort"
+  in_txn db (fun () ->
+      let oid = D.create db "hot" [] in
+      for i = 0 to n - 1 do
+        D.activate db oid (Printf.sprintf "t%d" i) []
+      done;
+      (db, oid))
+
+(* ns per "work" call on [inert_trigger_db n], after [prepare db] *)
+let inert_call_ns n prepare =
+  let module D = Ode_odb.Database in
+  let db, oid = inert_trigger_db n in
+  prepare db;
+  let tx = D.begin_txn db in
+  let ns = per_call (fun () -> ignore (D.call db oid "work" [])) in
+  (match D.commit db tx with Ok () | Error `Aborted -> ());
+  ns
 
 let e9_dispatch () =
   section "E9-dispatch: post throughput vs inert active triggers (index on/off)";
-  let module D = Ode_odb.Database in
-  let measure ~indexed n =
-    let db, oid = inert_trigger_db n in
-    if not indexed then Ode_reference.Stepper.install db Ode_reference.Stepper.Scan;
-    let tx = D.begin_txn db in
-    let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    ns
-  in
   let rows =
     List.map
       (fun n ->
-        let scan = measure ~indexed:false n in
-        let indexed = measure ~indexed:true n in
-        (n, scan, indexed))
+        let scan = inert_call_ns n (fun db -> Stepper.install db Stepper.Scan) in
+        let indexed = inert_call_ns n ignore in
+        [ ("inert_triggers", I n); ("scan_ns_per_call", T scan);
+          ("indexed_ns_per_call", T indexed);
+          ("speedup", F (scan.median /. indexed.median)) ])
       [ 1; 10; 100; 1000 ]
   in
-  pf "%-10s %16s %18s %10s@." "triggers" "scan ns/call" "indexed ns/call" "speedup";
-  List.iter
-    (fun (n, scan, indexed) ->
-      pf "%-10d %16.0f %18.0f %9.1fx@." n scan indexed (scan /. indexed))
-    rows;
+  emit ~file:"BENCH_dispatch.json"
+    ~about:
+      [ ("experiment", "E9-dispatch");
+        ("unit", "ns per method call (6 basic events posted per call)");
+        ( "description",
+          "object with N inert active triggers: brute-force scan (reference stepper, \
+           Scan mode) vs the posting kernel over the per-class dispatch index" ) ]
+    [ ("rows", rows) ];
   pf "shape: a call posts 6 basic events; the scan path is O(N) per post,\n\
-      the indexed path touches only triggers whose alphabet can react.@.";
-  let oc = open_out "BENCH_dispatch.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E9-dispatch\",\n";
-  p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
-  p "  \"description\": \"object with N inert active triggers: brute-force scan \
-     (reference stepper, Scan mode) vs the posting kernel over the per-class \
-     dispatch index\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (n, scan, indexed) ->
-      p
-        "    {\"inert_triggers\": %d, \"scan_ns_per_call\": %.0f, \
-         \"indexed_ns_per_call\": %.0f, \"speedup\": %.1f}%s\n"
-        n scan indexed (scan /. indexed)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_dispatch.json@."
+      the indexed path touches only triggers whose alphabet can react.@."
 
 (* ------------------------------------------------------------------ *)
 (* E10-obs: observability overhead on the posting hot path             *)
@@ -707,53 +810,26 @@ let e9_dispatch () =
 let e10_obs () =
   section "E10-obs: method-call cost with observability off vs on";
   let module D = Ode_odb.Database in
-  let measure ~obs n =
-    let db, oid = inert_trigger_db n in
-    D.set_observability db obs;
-    let tx = D.begin_txn db in
-    let ns = measure_ns (fun () -> ignore (D.call db oid "work" [])) in
-    (match D.commit db tx with Ok () | Error `Aborted -> ());
-    ns
-  in
   let rows =
     List.map
       (fun n ->
-        let off = measure ~obs:false n in
-        let on = measure ~obs:true n in
-        (n, off, on))
+        let off = inert_call_ns n (fun db -> D.set_observability db false) in
+        let on = inert_call_ns n (fun db -> D.set_observability db true) in
+        [ ("inert_triggers", I n); ("obs_off_ns_per_call", T off);
+          ("obs_on_ns_per_call", T on); ("overhead", F (on.median /. off.median)) ])
       [ 1; 10; 100; 1000 ]
   in
-  pf "%-10s %16s %16s %10s@." "triggers" "obs-off ns/call" "obs-on ns/call"
-    "overhead";
-  List.iter
-    (fun (n, off, on) ->
-      pf "%-10d %16.0f %16.0f %9.2fx@." n off on (on /. off))
-    rows;
+  emit ~file:"BENCH_obs.json"
+    ~about:
+      [ ("experiment", "E10-obs");
+        ("unit", "ns per method call (6 basic events posted per call)");
+        ( "description",
+          "indexed dispatch, N inert active triggers: Ode_obs registry disabled vs \
+           enabled (no trace sink, so timestamping stays gated off)" ) ]
+    [ ("rows", rows) ];
   pf "shape: disabled probes cost one boolean load; enabled ones pay counter,\n\
       kind-table and span-ring updates per post — clock reads and latency\n\
-      histograms only start once a trace sink (or set_timing) asks for them.@.";
-  let oc = open_out "BENCH_obs.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E10-obs\",\n";
-  p "  \"unit\": \"ns per method call (6 basic events posted per call)\",\n";
-  p "  \"description\": \"indexed dispatch, N inert active triggers: Ode_obs \
-     registry disabled vs enabled (no trace sink, so timestamping stays \
-     gated off)\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (n, off, on) ->
-      p
-        "    {\"inert_triggers\": %d, \"obs_off_ns_per_call\": %.0f, \
-         \"obs_on_ns_per_call\": %.0f, \"overhead\": %.2f}%s\n"
-        n off on (on /. off)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_obs.json@."
+      histograms only start once a trace sink (or set_timing) asks for them.@."
 
 (* ------------------------------------------------------------------ *)
 (* E12-kernel: the compiled posting kernel vs the reference stepper     *)
@@ -768,7 +844,6 @@ let kernel_workload () =
   let module T = Ode_odb.Types in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
   let db = T.make_db () in
   let b = Sc.define_class "c" in
   let b = Sc.field b "x" (Value.Int 1) in
@@ -785,17 +860,14 @@ let kernel_workload () =
         (i + 1)
   in
   Sc.register_class db (add b 0);
-  match
-    Tx.with_txn db (fun _ ->
+  in_txn db (fun () ->
+      ( db,
         List.init kernel_n_objects (fun _ ->
             let oid = E.create db "c" [] in
             for i = 0 to kernel_triggers_per_obj - 1 do
               E.activate db oid (Printf.sprintf "t%d" i) []
             done;
-            oid))
-  with
-  | Ok oids -> (db, oids)
-  | Error `Aborted -> failwith "abort"
+            oid) ))
 
 (* 256 objects x 4 perpetual never-completing triggers, zero firings,
    through both posting paths: the legacy indexed path the kernel
@@ -834,82 +906,76 @@ let e12_kernel () =
           else ping cold.(k mod Array.length cold))
     end
   in
-  let measure ~kernel ~contended =
+  let row path contended =
     let db, oids = kernel_workload () in
-    if not kernel then Ode_reference.Stepper.install db Ode_reference.Stepper.Index;
+    if path = "legacy" then Stepper.install db Stepper.Index;
     let items = build_items ~contended oids in
     let tx = Tx.begin_txn db in
-    ignore (E.post_many db items) (* warm-up batch pays the tbegin posts *);
-    let ns =
-      List.fold_left min infinity
-        (List.init 3 (fun _ ->
-             measure_ns (fun () -> ignore (E.post_many db items))))
-    in
+    (* the first (warm-up) batch pays the tbegin posts *)
+    let ns = per_call ~per:n_events (fun () -> ignore (E.post_many db items)) in
     let batches = 50 in
     let w0 = Gc.minor_words () in
     for _ = 1 to batches do
       ignore (E.post_many db items)
     done;
-    let words =
-      (Gc.minor_words () -. w0) /. float_of_int (batches * n_events)
-    in
+    let words = (Gc.minor_words () -. w0) /. float_of_int (batches * n_events) in
     (match Tx.commit db tx with Ok () | Error `Aborted -> ());
-    (ns /. float_of_int n_events, words)
-  in
-  let row path contended =
-    let ns, w = measure ~kernel:(path = "kernel") ~contended in
-    (path, (if contended then "contended" else "uniform"), ns, w)
+    [ ("path", S path); ("workload", S (if contended then "contended" else "uniform"));
+      ("ns_per_event", T ns); ("events_per_sec", F (1e9 /. ns.median));
+      ("minor_words_per_event", F words) ]
   in
   let rows =
-    [
-      row "legacy" false;
-      row "kernel" false;
-      row "legacy" true;
-      row "kernel" true;
-    ]
+    [ row "legacy" false; row "kernel" false; row "legacy" true; row "kernel" true ]
   in
-  let base =
-    match rows with (_, _, ns, _) :: _ -> ns | [] -> assert false
+  let base = med (List.hd rows) "ns_per_event" in
+  let rows =
+    List.map
+      (fun r -> r @ [ ("speedup_vs_legacy_uniform", F (base /. med r "ns_per_event")) ])
+      rows
   in
   pf "objects=%d triggers/object=%d batch=%d events@." n_objects
     kernel_triggers_per_obj n_events;
-  pf "%-8s %-10s %12s %14s %16s %9s@." "path" "workload" "ns/event"
-    "events/sec" "minor words/ev" "speedup";
-  List.iter
-    (fun (path, wl, ns, w) ->
-      pf "%-8s %-10s %12.0f %14.0f %16.1f %8.2fx@." path wl ns (1e9 /. ns) w
-        (base /. ns))
-    rows;
+  emit ~file:"BENCH_kernel.json"
+    ~about:
+      [ ("experiment", "E12-kernel");
+        ("unit", "ns per posted event (classify+step dominated, zero firings)");
+        ( "description",
+          Printf.sprintf
+            "%d objects x %d perpetual never-completing triggers, batches of %d events \
+             (%d per object) through the legacy indexed posting path (the reference \
+             stepper's Index mode) vs the compiled kernel; contended rows send 80%% of \
+             the batch to %d of the objects; minor_words_per_event counts minor-heap \
+             allocation"
+            n_objects kernel_triggers_per_obj n_events events_per_obj n_hot ) ]
+    [ ("rows", rows) ];
   pf "shape: the kernel removes per-post candidate list building, closure\n\
       allocation and per-detector cache lookups — the classify/step sweep\n\
-      is a linear pass over int arrays with a constant allocation envelope.@.";
-  let oc = open_out "BENCH_kernel.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E12-kernel\",\n";
-  p "  \"unit\": \"ns per posted event (classify+step dominated, zero firings)\",\n";
-  p
-    "  \"description\": \"%d objects x %d perpetual never-completing \
-     triggers, batches of %d events (%d per object) through the legacy \
-     indexed posting path (the reference stepper's Index mode) vs the \
-     compiled kernel; contended rows send 80%% of the batch to %d of the \
-     objects; minor_words_per_event counts minor-heap allocation\",\n"
-    n_objects kernel_triggers_per_obj n_events events_per_obj n_hot;
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (path, wl, ns, w) ->
-      p
-        "    {\"path\": \"%s\", \"workload\": \"%s\", \"ns_per_event\": %.0f, \
-         \"events_per_sec\": %.0f, \"minor_words_per_event\": %.1f, \
-         \"speedup_vs_legacy_uniform\": %.2f}%s\n"
-        path wl ns (1e9 /. ns) w (base /. ns)
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_kernel.json@."
+      is a linear pass over int arrays with a constant allocation envelope.@."
+
+(* ------------------------------------------------------------------ *)
+(* The wire: an in-process server on an ephemeral port                 *)
+(* ------------------------------------------------------------------ *)
+
+module Server = Ode_net.Server
+module Client = Ode_net.Client
+module NP = Ode_net.Protocol
+
+let loopback_server db =
+  let module C = Ode_odb.Database.Config in
+  let serve = { C.default_serve with C.port = 0 } in
+  let srv = Server.create ~db ~config:{ C.default with C.serve } () in
+  Server.start srv;
+  (srv, Server.port srv)
+
+let rpc c req =
+  match Client.request c req with
+  | Ok j -> j
+  | Error (code, msg) -> failwith (Printf.sprintf "wire [%s] %s" code msg)
+
+let jint key j =
+  match Json.member key j with
+  | Some (Json.Int n) -> n
+  | _ -> failwith ("wire reply carried no " ^ key)
 
 (* ------------------------------------------------------------------ *)
 (* smoke: a one-iteration CI pass over the instrumented pipeline       *)
@@ -924,9 +990,7 @@ let smoke () =
   let module Obs = Ode_obs.Registry in
   let db, oid = inert_trigger_db 10 in
   D.set_observability db true;
-  (match D.with_txn db (fun _ -> ignore (D.call db oid "work" [])) with
-  | Ok () -> ()
-  | Error `Aborted -> failwith "smoke transaction aborted");
+  in_txn db (fun () -> ignore (D.call db oid "work" []));
   let r = D.observe db in
   pf "%a@." Obs.pp r;
   if Obs.get r Obs.Posts = 0 then failwith "smoke: no posts counted";
@@ -941,29 +1005,23 @@ let smoke () =
         ~action:(fun _ _ -> ())
     in
     D.register_class db b;
-    let fired = ref 0 in
-    (match
-       D.with_txn db (fun _ ->
-           let oids =
-             List.init 8 (fun _ ->
-                 let oid = D.create db "s" [] in
-                 D.activate db oid "hit" [];
-                 oid)
-           in
-           let ping oid = (oid, Symbol.Method (Symbol.After, "ping"), []) in
-           let items =
-             if contended then
-               (* 32 of 40 events on two objects, rest spread out *)
-               List.init 40 (fun k ->
-                   if k mod 5 < 4 then ping (List.nth oids (k mod 2))
-                   else ping (List.nth oids (2 + (k mod 6))))
-             else List.map ping oids
-           in
-           fired := D.post_many db items)
-     with
-    | Ok () -> ()
-    | Error `Aborted -> failwith "smoke: batch transaction aborted");
-    !fired
+    in_txn db (fun () ->
+        let oids =
+          List.init 8 (fun _ ->
+              let oid = D.create db "s" [] in
+              D.activate db oid "hit" [];
+              oid)
+        in
+        let ping oid = (oid, Symbol.Method (Symbol.After, "ping"), []) in
+        let items =
+          if contended then
+            (* 32 of 40 events on two objects, rest spread out *)
+            List.init 40 (fun k ->
+                if k mod 5 < 4 then ping (List.nth oids (k mod 2))
+                else ping (List.nth oids (2 + (k mod 6))))
+          else List.map ping oids
+        in
+        D.post_many db items)
   in
   let f1 = batch_firings ~contended:false
   and c1 = batch_firings ~contended:true in
@@ -980,12 +1038,6 @@ let smoke () =
   let module Wal = Ode_odb.Wal in
   let module Persist = Ode_odb.Persist in
   let module Codec = Ode_base.Codec in
-  let fresh_dir () =
-    let d = Filename.temp_file "ode_bench_wal" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o755;
-    d
-  in
   let wal_schema () =
     let b = D.define_class "w" in
     let b = D.field b "q" (Value.Int 0) in
@@ -1003,7 +1055,7 @@ let smoke () =
     D.trigger_str b ~perpetual:true "beat" ~event:"every time(MS=20)"
       ~action:(fun _ _ -> ())
   in
-  let dir = fresh_dir () in
+  let dir = fresh_dir "ode_bench_wal" in
   let shadows = ref [] in
   let cfg =
     Wal.config ~flush_ms:0 ~sync_on_flush:false ~snapshot_every:0
@@ -1050,7 +1102,7 @@ let smoke () =
     let cut = hdr + Random.State.int rng (String.length log - hdr + 1) in
     let damaged = String.sub log 0 cut in
     let n = List.length (Wal.scan_bytes damaged).Wal.frames in
-    let dir2 = fresh_dir () in
+    let dir2 = fresh_dir "ode_bench_wal" in
     Codec.to_file (Wal.snap_path dir2 0) snap;
     Codec.to_file (Wal.wal_path dir2 0) damaged;
     let rdb = D.create_db ~durability:(`Wal (Wal.config dir2)) () in
@@ -1069,43 +1121,21 @@ let smoke () =
     (Array.length shadows) deltas;
   (* wire smoke: an in-process server, two clients over loopback, a
      subscriber that must see firings, a clean stop *)
-  let module Server = Ode_net.Server in
-  let module Client = Ode_net.Client in
-  let module NP = Ode_net.Protocol in
-  let module NJ = Ode_net.Json in
-  let sdb = D.create_db ~config:D.Config.default () in
-  let config =
-    {
-      D.Config.default with
-      D.Config.serve = { D.Config.default_serve with D.Config.port = 0 };
-    }
-  in
-  let srv = Server.create ~db:sdb ~config () in
-  Server.start srv;
-  let port = Server.port srv in
+  let srv, port = loopback_server (D.create_db ~config:D.Config.default ()) in
   let sub = Client.connect ~port () in
-  let wire_ok = function
-    | Ok j -> j
-    | Error (code, msg) -> failwith (Printf.sprintf "smoke: wire [%s] %s" code msg)
-  in
   ignore
-    (wire_ok
-       (Client.request sub
-          (NP.Schema
-             "class cell { int n = 0; public: cell() { activate T(); } update \
-              void hit(int q) { n = n + q; } update void seen() { } trigger: \
-              T() : perpetual after hit(q) && q > 0 ==> seen(); };")));
-  let oid =
-    match NJ.member "oid" (wire_ok (Client.request sub (NP.Create ("cell", [])))) with
-    | Some (NJ.Int oid) -> oid
-    | _ -> failwith "smoke: wire create returned no oid"
-  in
-  ignore (wire_ok (Client.request sub (NP.Subscribe NP.Block)));
+    (rpc sub
+       (NP.Schema
+          "class cell { int n = 0; public: cell() { activate T(); } update \
+           void hit(int q) { n = n + q; } update void seen() { } trigger: \
+           T() : perpetual after hit(q) && q > 0 ==> seen(); };"));
+  let oid = jint "oid" (rpc sub (NP.Create ("cell", []))) in
+  ignore (rpc sub (NP.Subscribe NP.Block));
   let poster = Client.connect ~port () in
   let item =
     { NP.i_oid = oid; i_event = Symbol.Method (After, "hit"); i_args = [ Value.Int 3 ] }
   in
-  ignore (wire_ok (Client.request poster (NP.Post_many (List.init 8 (fun _ -> item)))));
+  ignore (rpc poster (NP.Post_many (List.init 8 (fun _ -> item))));
   Client.close poster;
   let rec wire_drain n =
     match Client.wait_firing ~timeout_s:1.0 sub with
@@ -1126,32 +1156,25 @@ let smoke () =
   let module Tw = Ode_odb.Timewheel in
   let tdb = T.make_db () in
   let trng = Random.State.make [| 9191 |] in
-  let (), arm_s =
-    time_once (fun () ->
+  let arm_ns =
+    time_ns (fun () ->
         for i = 0 to 999_999 do
+          let due = Int64.of_int (1 + Random.State.int trng 5_000_000) in
           Tw.insert_timer tdb
-            {
-              T.tm_due = Int64.of_int (1 + Random.State.int trng 5_000_000);
-              tm_seq = i;
-              tm_oid = 1 + i;
-              tm_trigger = "m";
-              tm_epoch = 0;
-              tm_spec = Symbol.After_period 1L;
-              tm_anchor = 0L;
-            }
+            (timer ~seq:i ~oid:(1 + i) ~trigger:"m" ~spec:(Symbol.After_period 1L) due)
         done)
   in
   let armed = Tw.pending_count tdb in
   if armed <> 1_000_000 then
     failwith (Printf.sprintf "timer smoke: armed %d/1000000" armed);
-  let (), drain_s = time_once (fun () -> Tw.advance_clock tdb 5_000_001L) in
+  let drain_ns = time_ns (fun () -> Tw.advance_clock tdb 5_000_001L) in
   let left = Tw.pending_count tdb in
   if left <> 0 then
     failwith (Printf.sprintf "timer smoke: %d timers survived the drain" left);
   pf
     "timer smoke ok (1M timers armed in %.0f ms, drained to empty in %.0f \
      ms).@."
-    (arm_s /. 1e6) (drain_s /. 1e6)
+    (arm_ns /. 1e6) (drain_ns /. 1e6)
 
 (* ------------------------------------------------------------------ *)
 (* E14-wal: commit durability cost — WAL vs full-image saves            *)
@@ -1161,18 +1184,13 @@ let smoke () =
    1k/10k/100k objects, under three durability disciplines: a full
    [save] after every commit (the only option before the WAL), the WAL
    with an fsync per commit (flush window 0), and the WAL under a 50 ms
-   group-commit window. Reports commits/sec and p50/p99 latency, and
-   writes BENCH_wal.json. *)
+   group-commit window. Each repeat runs every commit and a closing
+   sync. Reports commits/sec and p50/p99 latency over the commits of
+   all repeats, and writes BENCH_wal.json. *)
 let e14_wal () =
   section "E14-wal: commit throughput and p99 latency vs full-image saves";
   let module D = Ode_odb.Database in
   let module Wal = Ode_odb.Wal in
-  let fresh_dir () =
-    let d = Filename.temp_file "ode_e14" "" in
-    Sys.remove d;
-    Unix.mkdir d 0o755;
-    d
-  in
   let schema () =
     let b = D.define_class "acct" in
     let b = D.field b "q" (Value.Int 0) in
@@ -1187,122 +1205,72 @@ let e14_wal () =
       ~action:(fun _ _ -> ())
   in
   let populate db n =
-    let oids = Array.make n 0 in
-    (match
-       D.with_txn db (fun _ ->
-           for i = 0 to n - 1 do
-             let oid = D.create db "acct" [] in
-             D.activate db oid "watch" [];
-             oids.(i) <- oid
-           done)
-     with
-    | Ok () -> ()
-    | Error `Aborted -> failwith "e14: population aborted");
-    oids
+    in_txn db (fun () ->
+        Array.init n (fun _ ->
+            let oid = D.create db "acct" [] in
+            D.activate db oid "watch" [];
+            oid))
   in
-  let percentile samples p =
-    let a = Array.copy samples in
-    Array.sort compare a;
-    a.(min (Array.length a - 1) (int_of_float (ceil (p *. float_of_int (Array.length a))) - 1))
-  in
-  let run ~n ~commits ~durability ~save_every_commit =
-    let db = D.create_db ?durability () in
+  let run ~n ~commits durability =
+    let save = match durability with `Image -> true | `Wal _ -> false in
+    let db = D.create_db ~durability () in
     D.register_class db (schema ());
     let oids = populate db n in
     let tmp = Filename.temp_file "ode_e14_img" ".img" in
-    let samples = Array.make commits 0.0 in
     let commit_one i =
-      (match
-         D.with_txn db (fun _ ->
-             ignore (D.call db oids.(i mod n) "deposit" []))
-       with
-      | Ok () -> ()
-      | Error `Aborted -> failwith "e14: commit aborted");
-      if save_every_commit then D.save db tmp
+      in_txn db (fun () -> ignore (D.call db oids.(i mod n) "deposit" []));
+      if save then D.save db tmp
     in
     commit_one 0 (* warm-up: first touch pays population cache misses *);
-    let t0 = Unix.gettimeofday () in
-    for i = 1 to commits do
-      let c0 = Unix.gettimeofday () in
-      commit_one i;
-      samples.(i - 1) <- (Unix.gettimeofday () -. c0) *. 1e6
-    done;
-    D.sync_durability db;
-    let total = Unix.gettimeofday () -. t0 in
+    let samples = Array.make (repeats * commits) 0.0 in
+    let per_sec =
+      rep (fun r ->
+          let ns =
+            time_ns (fun () ->
+                for i = r * commits to ((r + 1) * commits) - 1 do
+                  samples.(i) <- time_ns (fun () -> commit_one (i + 1)) /. 1e3
+                done;
+                D.sync_durability db)
+          in
+          float_of_int commits /. (ns /. 1e9))
+    in
     D.close_durability db;
     Sys.remove tmp;
-    ( float_of_int commits /. total,
-      percentile samples 0.50,
-      percentile samples 0.99 )
+    (per_sec, pct samples 0.50, pct samples 0.99)
   in
-  let configs ~n =
-    [
-      ( "image-save",
-        (fun () -> run ~n ~commits:(max 20 (200_000 / n)) ~durability:(Some `Image)
-             ~save_every_commit:true) );
-      ( "wal-fsync",
-        (fun () -> run ~n ~commits:2_000
-             ~durability:(Some (`Wal (Wal.config ~flush_ms:0 ~snapshot_every:0
-                                        (fresh_dir ()))))
-             ~save_every_commit:false) );
-      ( "wal-group-50ms",
-        (fun () -> run ~n ~commits:2_000
-             ~durability:(Some (`Wal (Wal.config ~flush_ms:50 ~snapshot_every:0
-                                        (fresh_dir ()))))
-             ~save_every_commit:false) );
-    ]
+  let wal flush_ms =
+    `Wal (Wal.config ~flush_ms ~snapshot_every:0 (fresh_dir "ode_e14"))
   in
-  let all_rows =
+  let rows =
     List.concat_map
       (fun n ->
-        pf "@.objects=%d@." n;
-        pf "%-16s %14s %12s %12s %10s@." "durability" "commits/sec" "p50 (us)"
-          "p99 (us)" "speedup";
-        let rows =
-          List.map (fun (name, f) -> let r = f () in (name, r)) (configs ~n)
+        let runs =
+          List.map
+            (fun (name, commits, durability) -> (name, run ~n ~commits durability))
+            [ ("image-save", max 20 (200_000 / n), `Image); ("wal-fsync", 2_000, wal 0);
+              ("wal-group-50ms", 2_000, wal 50) ]
         in
-        let base, _, _ = List.assoc "image-save" rows in
-        List.iter
-          (fun (name, (cps, p50, p99)) ->
-            pf "%-16s %14.0f %12.1f %12.1f %9.1fx@." name cps p50 p99 (cps /. base))
-          rows;
-        List.map (fun (name, r) -> (n, name, r)) rows)
+        let base, _, _ = List.assoc "image-save" runs in
+        List.map
+          (fun (name, (per_sec, p50, p99)) ->
+            [ ("objects", I n); ("durability", S name); ("commits_per_sec", T per_sec);
+              ("p50_us", p50); ("p99_us", p99);
+              ("speedup_vs_image", F (per_sec.median /. base.median)) ])
+          runs)
       [ 1_000; 10_000; 100_000 ]
   in
+  emit ~file:"BENCH_wal.json"
+    ~about:
+      [ ("experiment", "E14-wal");
+        ("unit", "commits per second; per-commit latency percentiles in microseconds");
+        ( "description",
+          "one-object deposit commits against a resident population, under: a full ODE1 \
+           image save per commit, the WAL with an fsync per commit (flush_ms=0), and the \
+           WAL under a 50ms group-commit window; each repeat ends with a sync" ) ]
+    [ ("rows", rows) ];
   pf "shape: a redo batch is O(touched objects); a full image is O(database).\n\
       The group-commit window amortises the fsync across the batches that\n\
-      arrive inside it, at the cost of that window of durability.@.";
-  let oc = open_out "BENCH_wal.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E14-wal\",\n";
-  p "  \"unit\": \"commits per second; per-commit latency percentiles in \
-     microseconds\",\n";
-  p
-    "  \"description\": \"one-object deposit commits against a resident \
-     population, under: a full ODE1 image save per commit, the WAL with an \
-     fsync per commit (flush_ms=0), and the WAL under a 50ms group-commit \
-     window\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length all_rows - 1 in
-  List.iteri
-    (fun i (n, name, (cps, p50, p99)) ->
-      let base, _, _ =
-        let _, _, r =
-          List.find (fun (n', name', _) -> n' = n && name' = "image-save") all_rows
-        in
-        r
-      in
-      p
-        "    {\"objects\": %d, \"durability\": \"%s\", \"commits_per_sec\": \
-         %.0f, \"p50_us\": %.1f, \"p99_us\": %.1f, \"speedup_vs_image\": %.1f}%s\n"
-        n name cps p50 p99 (cps /. base)
-        (if i = last then "" else ","))
-    all_rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_wal.json@."
+      arrive inside it, at the cost of that window of durability.@."
 
 (* ------------------------------------------------------------------ *)
 (* E15: the wire front door — multi-client soak over loopback          *)
@@ -1312,14 +1280,12 @@ let e14_wal () =
    threads posting batches over real loopback sockets: end-to-end wire
    throughput and per-request latency for 1, 4 and 16 clients, with one
    drop-policy subscriber watching the firing stream the whole time.
-   Emits BENCH_serve.json. *)
+   Each repeat has every client push a fifth of its events; the
+   latency percentiles pool the requests of all repeats. Emits
+   BENCH_serve.json. *)
 let e15_serve () =
   section "E15: odes serve over loopback (events/sec and request p99 by client count)";
   let module DB = Ode_odb.Database in
-  let module Server = Ode_net.Server in
-  let module Client = Ode_net.Client in
-  let module NP = Ode_net.Protocol in
-  let module NJ = Ode_net.Json in
   let schema =
     {|
     class meter {
@@ -1334,122 +1300,73 @@ let e15_serve () =
     };
     |}
   in
-  let jint key j =
-    match NJ.member key j with
-    | Some (NJ.Int n) -> n
-    | _ -> failwith ("e15: reply carried no " ^ key)
-  in
-  let rpc c req =
-    match Client.request c req with
-    | Ok j -> j
-    | Error (code, msg) -> failwith (Printf.sprintf "e15: [%s] %s" code msg)
-  in
-  let run ~clients ~events_per_client ~batch =
+  let events_per_client = 20_000 and batch = 100 in
+  let row clients =
     let db = DB.create_db ~config:DB.Config.default () in
     ignore (Ode_odl.Odl.load_schema db schema);
-    let config =
-      {
-        DB.Config.default with
-        DB.Config.serve =
-          { DB.Config.default_serve with DB.Config.port = 0 };
-      }
-    in
-    let srv = Server.create ~db ~config () in
-    Server.start srv;
-    let port = Server.port srv in
+    let srv, port = loopback_server db in
     let sub = Client.connect ~port () in
     (* one object per client so the soak exercises candidate selection,
-       not one hot history *)
-    let oids =
-      Array.init clients (fun _ -> jint "oid" (rpc sub (NP.Create ("meter", []))))
+       not one hot history; each client's connection lasts all repeats *)
+    let conns =
+      Array.init clients (fun _ ->
+          let oid = jint "oid" (rpc sub (NP.Create ("meter", []))) in
+          let bump i =
+            { NP.i_oid = oid; i_event = Symbol.Method (After, "bump");
+              i_args = [ Value.Int (i mod 10) ] }
+          in
+          (Client.connect ~port (), NP.Post_many (List.init batch bump)))
     in
     ignore (rpc sub (NP.Subscribe NP.Drop));
-    let requests = events_per_client / batch in
-    let lat = Array.make (clients * requests) 0.0 in
+    let requests = events_per_client / batch / repeats in
+    let lat = Array.make (repeats * clients * requests) 0.0 in
     (* a reply reports its whole batch's firing total, and coalescing
        puts many requests in one batch — dedup by batch serial or the
        sum multiplies *)
-    let mu = Mutex.create () in
-    let by_batch = Hashtbl.create 1024 in
-    let t0 = Unix.gettimeofday () in
-    let worker k =
+    let mu = Mutex.create () and by_batch = Hashtbl.create 1024 in
+    let worker r k =
+      let c, post = conns.(k) in
       Thread.create
         (fun () ->
-          let c = Client.connect ~port () in
-          let items =
-            List.init batch (fun i ->
-                {
-                  NP.i_oid = oids.(k);
-                  i_event = Symbol.Method (After, "bump");
-                  i_args = [ Value.Int (i mod 10) ];
-                })
-          in
-          for r = 0 to requests - 1 do
-            let q0 = Unix.gettimeofday () in
-            let j = rpc c (NP.Post_many items) in
-            lat.((k * requests) + r) <- Unix.gettimeofday () -. q0;
-            Mutex.lock mu;
-            Hashtbl.replace by_batch (jint "batch" j) (jint "firings" j);
-            Mutex.unlock mu
-          done;
-          Client.close c)
+          for q = 0 to requests - 1 do
+            let j = ref Json.Null in
+            let ns = time_ns (fun () -> j := rpc c post) in
+            lat.((((r * clients) + k) * requests) + q) <- ns /. 1e3;
+            Mutex.protect mu (fun () ->
+                Hashtbl.replace by_batch (jint "batch" !j) (jint "firings" !j))
+          done)
         ()
     in
-    let threads = List.init clients worker in
-    List.iter Thread.join threads;
-    let dt = Unix.gettimeofday () -. t0 in
+    let per_sec =
+      rep (fun r ->
+          let ns =
+            time_ns (fun () -> List.iter Thread.join (List.init clients (worker r)))
+          in
+          float_of_int (clients * requests * batch) /. (ns /. 1e9))
+    in
+    Array.iter (fun (c, _) -> Client.close c) conns;
     let seen = List.length (Client.poll_firings sub) + Client.lagged_total sub in
     Client.close sub;
     Server.stop srv;
-    Array.sort compare lat;
-    let pct p =
-      lat.(min (Array.length lat - 1) (int_of_float (p *. float_of_int (Array.length lat))))
-      *. 1e6
-    in
     let fired = Hashtbl.fold (fun _ n acc -> acc + n) by_batch 0 in
-    let total = float_of_int (clients * requests * batch) in
-    (total /. dt, pct 0.5, pct 0.99, fired, seen)
+    if fired = 0 then failwith "e15: soak produced no firings";
+    [ ("clients", I clients); ("events_per_client", I events_per_client);
+      ("events_per_sec", T per_sec); ("req_p50_us", pct lat 0.5);
+      ("req_p99_us", pct lat 0.99); ("firings", I fired); ("observed", I seen) ]
   in
-  pf "%8s %14s %12s %12s %12s %12s@." "clients" "events/sec" "p50 (us)" "p99 (us)"
-    "firings" "observed";
-  let rows =
-    List.map
-      (fun clients ->
-        let events_per_client = 20_000 in
-        let ev_s, p50, p99, fired, seen =
-          run ~clients ~events_per_client ~batch:100
-        in
-        if fired = 0 then failwith "e15: soak produced no firings";
-        pf "%8d %14.0f %12.1f %12.1f %12d %12d@." clients ev_s p50 p99 fired seen;
-        (clients, events_per_client, ev_s, p50, p99, fired))
-      [ 1; 4; 16 ]
-  in
+  emit ~file:"BENCH_serve.json"
+    ~about:
+      [ ("experiment", "E15-serve");
+        ( "unit",
+          "end-to-end wire events per second; per-request latency percentiles in \
+           microseconds" );
+        ( "description",
+          "N concurrent clients posting 100-event post_many batches over loopback to \
+           odes serve (each read burst flushed as one batch), one drop-policy \
+           subscriber streaming firings throughout" ) ]
+    [ ("rows", List.map row [ 1; 4; 16 ]) ];
   pf "shape: one select loop owns the engine; requests that arrive in the\n\
-      same read burst coalesce into one batch, flushed at the end of the burst.@.";
-  let oc = open_out "BENCH_serve.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E15-serve\",\n";
-  p "  \"unit\": \"end-to-end wire events per second; per-request latency \
-     percentiles in microseconds\",\n";
-  p
-    "  \"description\": \"N concurrent clients posting 100-event post_many \
-     batches over loopback to odes serve (each read burst flushed as one \
-     batch), one drop-policy subscriber streaming firings throughout\",\n";
-  p "  \"rows\": [\n";
-  let last = List.length rows - 1 in
-  List.iteri
-    (fun i (clients, events, ev_s, p50, p99, fired) ->
-      p
-        "    {\"clients\": %d, \"events_per_client\": %d, \"events_per_sec\": \
-         %.0f, \"req_p50_us\": %.1f, \"req_p99_us\": %.1f, \"firings\": %d}%s\n"
-        clients events ev_s p50 p99 fired
-        (if i = last then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_serve.json@."
+      same read burst coalesce into one batch, flushed at the end of the burst.@."
 
 (* ------------------------------------------------------------------ *)
 (* E17-timer: the timing wheel vs the sorted-list queue                 *)
@@ -1461,32 +1378,22 @@ let e15_serve () =
    O(1) amortized vs O(n), so the list's arm count shrinks as n grows to
    keep the rows affordable. [sweep]: [advance_to] over a fleet of
    objects with staggered periodic triggers, every delivery re-arming
-   its timer, on the wheel alone. The list sweep column is retired
-   with the in-engine list queue (EXPERIMENTS.md cites its last
-   figures); the 1M-pending sweep row fills the structure with parked
-   timers due beyond the window, so cascade and occupancy costs are
-   real. Emits BENCH_timer.json. *)
+   its timer, on the wheel alone; each repeat advances a fifth of the
+   window. The list sweep column is retired with the in-engine list
+   queue (EXPERIMENTS.md cites its last figures); the 1M-pending sweep
+   row fills the structure with parked timers due beyond the window, so
+   cascade and occupancy costs are real. Emits BENCH_timer.json. *)
 let e17_timer () =
   section "E17-timer: timing wheel vs sorted-list model (arm) + wheel advance sweep";
   let module T = Ode_odb.Types in
   let module Tw = Ode_odb.Timewheel in
   let module Sc = Ode_odb.Schema in
   let module E = Ode_odb.Engine in
-  let module Tx = Ode_odb.Txn in
   let module Obs = Ode_obs.Registry in
   let module Model = Ode_reference.Timer_model in
   let horizon = 10_000_000 in
-  let mk_timer i due =
-    {
-      T.tm_due = due;
-      tm_seq = i;
-      tm_oid = 1 + (i mod 9973);
-      tm_trigger = "t";
-      tm_epoch = 0;
-      tm_spec = Symbol.Every (Int64.of_int horizon);
-      tm_anchor = 0L;
-    }
-  in
+  let every = Symbol.Every (Int64.of_int horizon) in
+  let mk_timer i = timer ~seq:i ~oid:(1 + (i mod 9973)) ~trigger:"t" ~spec:every in
   let rand_due rng = Int64.of_int (1 + Random.State.int rng horizon) in
   let cmp a b =
     match Int64.compare a.T.tm_due b.T.tm_due with
@@ -1498,29 +1405,25 @@ let e17_timer () =
     let rng = Random.State.make [| 1717; n |] in
     let queue = List.sort cmp (List.init n (fun i -> mk_timer i (rand_due rng))) in
     let dues = Array.init k (fun _ -> rand_due rng) in
-    let (), total =
+    let insert =
       if wheel then begin
         let db = T.make_db () in
         Tw.replace db queue;
-        time_once (fun () ->
-            Array.iteri (fun i due -> Tw.insert_timer db (mk_timer (n + i) due)) dues)
+        fun i -> Tw.insert_timer db (mk_timer (n + i) dues.(i))
       end
       else begin
         let q = ref queue in
-        time_once (fun () ->
-            Array.iteri
-              (fun i due -> q := Model.insert_list (mk_timer (n + i) due) !q)
-              dues)
+        fun i -> q := Model.insert_list (mk_timer (n + i) dues.(i)) !q
       end
     in
-    total /. float_of_int k
+    calls ~each:(k / repeats) insert
   in
   (* a fleet sweep: [objects] nodes with an every-[period]-ms heartbeat,
      activation staggered over one period so due instants spread out;
      then advance [advance_ms], every delivery re-arming its timer.
      [pad] extra timers are parked beyond the window (no live object),
      occupying the structure without ever coming due. *)
-  let sweep ~objects ~period ~advance_ms ~pad =
+  let sweep (objects, period, advance_ms, pad) =
     let db = T.make_db () in
     let b = Sc.define_class "node" in
     let b =
@@ -1533,15 +1436,10 @@ let e17_timer () =
     let made = ref 0 in
     while !made < objects do
       let n = min per_ms (objects - !made) in
-      (match
-         Tx.with_txn db (fun _ ->
-             for _ = 1 to n do
-               let oid = E.create db "node" [] in
-               E.activate db oid "hb" []
-             done)
-       with
-      | Ok () -> ()
-      | Error `Aborted -> failwith "sweep setup aborted");
+      in_txn db (fun () ->
+          for _ = 1 to n do
+            E.activate db (E.create db "node" []) "hb" []
+          done);
       made := !made + n;
       if !made < objects then Tw.advance_clock db 1L
     done;
@@ -1549,221 +1447,54 @@ let e17_timer () =
     let parked_from = Int64.add (Tw.now db) (Int64.of_int (advance_ms + period)) in
     for i = 0 to pad - 1 do
       Tw.insert_timer db
-        {
-          T.tm_due = Int64.add parked_from (rand_due rng);
-          tm_seq = Tw.fresh_seq db;
-          tm_oid = 1_000_000_000 + i;
-          tm_trigger = "parked";
-          tm_epoch = 0;
-          tm_spec = Symbol.After_period 1L;
-          tm_anchor = 0L;
-        }
+        (timer ~seq:(Tw.fresh_seq db) ~oid:(1_000_000_000 + i) ~trigger:"parked"
+           ~spec:(Symbol.After_period 1L) (Int64.add parked_from (rand_due rng)))
     done;
     let pending = Tw.pending_count db in
     Obs.set_enabled db.T.obs true;
-    let (), total =
-      time_once (fun () -> Tw.advance_clock db (Int64.of_int advance_ms))
+    let delivered () = Obs.get db.T.obs Obs.Timer_deliveries in
+    let per_delivery =
+      rep (fun _ ->
+          let d0 = delivered () in
+          let step = Int64.of_int (advance_ms / repeats) in
+          let ns = time_ns (fun () -> Tw.advance_clock db step) in
+          if delivered () = d0 then failwith "sweep delivered nothing";
+          ns /. float_of_int (delivered () - d0))
     in
-    let delivered = Obs.get db.T.obs Obs.Timer_deliveries in
-    if delivered = 0 then failwith "sweep delivered nothing";
-    (pending, delivered, total /. float_of_int delivered)
+    [ ("pending", I pending); ("deliveries", I (delivered ()));
+      ("wheel_ns_per_delivery", T per_delivery) ]
   in
-  pf "%10s %8s %16s %16s %10s@." "occupancy" "arms" "list ns/arm"
-    "wheel ns/arm" "speedup";
   let arm_rows =
     List.map
       (fun (n, k_list) ->
         let list_ns = arm ~wheel:false ~n ~k:k_list in
         let wheel_ns = arm ~wheel:true ~n ~k:10_000 in
-        pf "%10d %8d %16.0f %16.1f %9.0fx@." n k_list list_ns wheel_ns
-          (list_ns /. wheel_ns);
-        (n, k_list, list_ns, wheel_ns))
+        [ ("occupancy", I n); ("list_arms_measured", I k_list);
+          ("list_ns_per_arm", T list_ns); ("wheel_ns_per_arm", T wheel_ns);
+          ("speedup", F (list_ns.median /. wheel_ns.median)) ])
       [ (10_000, 4_000); (100_000, 1_000); (1_000_000, 300) ]
   in
-  pf "%10s %12s %18s@." "pending" "deliveries" "wheel ns/delivery";
   let sweep_rows =
-    List.map
-      (fun (objects, period, advance_ms, pad) ->
-        let p, d, wheel_ns = sweep ~objects ~period ~advance_ms ~pad in
-        pf "%10d %12d %18.0f@." p d wheel_ns;
-        (p, d, wheel_ns))
-      [
-        (10_000, 1_000, 10_000, 0);
-        (100_000, 10_000, 1_000, 0);
-        (10_000, 1_000, 10_000, 990_000);
-      ]
+    List.map sweep
+      [ (10_000, 1_000, 10_000, 0); (100_000, 10_000, 1_000, 0);
+        (10_000, 1_000, 10_000, 990_000) ]
   in
-  let arm_speedup_1m =
-    match List.rev arm_rows with
-    | (_, _, l, w) :: _ -> l /. w
-    | [] -> assert false
-  in
+  emit ~file:"BENCH_timer.json"
+    ~about:
+      [ ("experiment", "E17-timer");
+        ( "unit",
+          "ns per armed timer / ns per delivered timer (delivery = system txn + \
+           time-event post + periodic re-arm)" );
+        ( "description",
+          Printf.sprintf
+            "marginal arm cost at fixed occupancy, dues uniform over %d ms: the \
+             sorted-list insert of the test model vs raw timing-wheel inserts; and a \
+             wheel advance sweep (staggered every-period heartbeats, each delivery \
+             re-arming; the 1M-pending row pads the wheel with parked timers)"
+            horizon ) ]
+    [ ("arm_rows", arm_rows); ("sweep_rows", sweep_rows) ];
   pf "shape: arming is O(n) vs O(1); the wheel's per-delivery cost stays flat\n\
-      from 10^4 to 10^6 pending.@.";
-  let oc = open_out "BENCH_timer.json" in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"E17-timer\",\n";
-  p
-    "  \"unit\": \"ns per armed timer / ns per delivered timer (delivery = \
-     system txn + time-event post + periodic re-arm)\",\n";
-  p
-    "  \"description\": \"marginal arm cost at fixed occupancy, dues uniform \
-     over %d ms: the sorted-list insert of the test model vs raw timing-wheel \
-     inserts; and a wheel advance sweep (staggered every-period heartbeats, \
-     each delivery re-arming; the 1M-pending row pads the wheel with parked \
-     timers)\",\n"
-    horizon;
-  p "  \"arm_speedup_at_1m\": %.1f,\n" arm_speedup_1m;
-  p "  \"arm_rows\": [\n";
-  let last = List.length arm_rows - 1 in
-  List.iteri
-    (fun i (n, k, l, w) ->
-      p
-        "    {\"occupancy\": %d, \"list_arms_measured\": %d, \
-         \"list_ns_per_arm\": %.0f, \"wheel_ns_per_arm\": %.1f, \
-         \"speedup\": %.1f}%s\n"
-        n k l w (l /. w)
-        (if i = last then "" else ","))
-    arm_rows;
-  p "  ],\n";
-  p "  \"sweep_rows\": [\n";
-  let last = List.length sweep_rows - 1 in
-  List.iteri
-    (fun i (pend, deliv, w) ->
-      p
-        "    {\"pending\": %d, \"deliveries\": %d, \"wheel_ns_per_delivery\": %.0f}%s\n"
-        pend deliv w
-        (if i = last then "" else ","))
-    sweep_rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc;
-  pf "wrote BENCH_timer.json@."
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test.make per experiment              *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite () =
-  let open Bechamel in
-  let lowered = e1_lowered () in
-  let m = !e1_alphabet_m in
-  let compiled = Compile.compile ~m lowered in
-  let mask _ = true in
-  let h = seeded_history ~m ~len:1000 42 in
-  (* E1 *)
-  let dfa_state = Compile.initial compiled in
-  Array.iter (fun sym -> ignore (Compile.step compiled dfa_state sym ~mask)) h;
-  let i1 = ref 0 in
-  let e1_dfa =
-    Test.make ~name:"e1-dfa-step"
-      (Staged.stage (fun () ->
-           ignore (Compile.step compiled dfa_state h.(!i1 mod 1000) ~mask);
-           incr i1))
-  in
-  let tree = Ode_baseline.Incr.make lowered in
-  Array.iter (fun sym -> ignore (Ode_baseline.Incr.post tree ~mask sym)) h;
-  let i2 = ref 0 in
-  let e1_tree =
-    Test.make ~name:"e1-tree-step@1000"
-      (Staged.stage (fun () ->
-           ignore (Ode_baseline.Incr.post tree ~mask h.(!i2 mod 1000));
-           incr i2))
-  in
-  (* E2 *)
-  let t8 = P.parse_event "after deposit; before withdraw; after withdraw" in
-  let e2_compile =
-    Test.make ~name:"e2-compile-T8"
-      (Staged.stage (fun () -> ignore (Detector.make t8)))
-  in
-  (* E4 *)
-  let a =
-    Compile.compile_pure ~m:6
-      (Lowered.Choose (3, Atom [| false; false; false; true; false; false |]))
-  in
-  let a' =
-    Committed.lift a ~tbegin:(fun s -> s = 0) ~tcommit:(fun s -> s = 1)
-      ~tabort:(fun s -> s = 2)
-  in
-  let s4 = ref a'.Dfa.start in
-  let i4 = ref 0 in
-  let h4 = seeded_history ~m:6 ~len:1000 5 in
-  let e4_lift =
-    Test.make ~name:"e4-lifted-step"
-      (Staged.stage (fun () ->
-           s4 := Dfa.step a' !s4 h4.(!i4 mod 1000);
-           incr i4))
-  in
-  (* E5 *)
-  let det5 = Detector.make (P.parse_event "before log && a > 0 | before log && b > 0") in
-  let st5 = Detector.initial det5 in
-  let env5 =
-    {
-      Mask.empty_env with
-      var = (fun name -> Some (Value.Int (if name = "a" then 1 else 0)));
-    }
-  in
-  let occ5 = { Symbol.basic = Symbol.Method (Before, "log"); args = []; at = 0L } in
-  let e5_classify =
-    Test.make ~name:"e5-classify+step"
-      (Staged.stage (fun () -> ignore (Detector.post det5 st5 ~env:env5 occ5)))
-  in
-  (* E6 *)
-  let det6 =
-    Detector.make
-      (Coupling.expression Coupling.Immediate_dependent ~event:(Expr.after "edit")
-         ~cond:(Mask.Call ("cond", [])))
-  in
-  let st6 = Detector.initial det6 in
-  let env6 = { Mask.empty_env with call = (fun _ _ -> Value.Bool true) } in
-  let occs6 =
-    Array.of_list
-      (List.map
-         (fun b -> { Symbol.basic = b; args = []; at = 0L })
-         [
-           Symbol.Tbegin; Symbol.Method (After, "edit"); Symbol.Tcomplete; Symbol.Tcommit;
-         ])
-  in
-  let i6 = ref 0 in
-  let e6_mode =
-    Test.make ~name:"e6-immediate-dependent"
-      (Staged.stage (fun () ->
-           ignore (Detector.post det6 st6 ~env:env6 occs6.(!i6 mod 4));
-           incr i6))
-  in
-  (* E7 *)
-  let module S = Ode_scenarios.Stockroom in
-  let s7 = S.setup () in
-  let item7 = S.new_item s7 ~name:"w" ~eoq:1 ~balance:max_int in
-  let e7_txn =
-    Test.make ~name:"e7-stockroom-withdraw-txn"
-      (Staged.stage (fun () -> ignore (S.withdraw s7 ~item:item7 ~qty:10)))
-  in
-  (* E8 *)
-  let e8_compile =
-    Test.make ~name:"e8-compile-choose-64"
-      (Staged.stage (fun () -> ignore (Detector.make (P.parse_event "choose 64 (after f)"))))
-  in
-  let tests =
-    [ e1_dfa; e1_tree; e2_compile; e4_lift; e5_classify; e6_mode; e7_txn; e8_compile ]
-  in
-  section "Bechamel micro-benchmarks (ns/run, OLS on monotonic clock)";
-  let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~stabilize:true ()
-  in
-  let grouped = Test.make_grouped ~name:"ode" tests in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name ols acc -> (name, ols) :: acc) results [] in
-  List.iter
-    (fun (name, ols) ->
-      match Analyze.OLS.estimates ols with
-      | Some (ns :: _) -> pf "%-32s %12.1f ns/run@." name ns
-      | Some [] | None -> pf "%-32s (no estimate)@." name)
-    (List.sort compare rows)
+      from 10^4 to 10^6 pending.@."
 
 let () =
   let all =
@@ -1771,8 +1502,7 @@ let () =
       ("e7", e7); ("e8", e8); ("e9", e9); ("e9d", e9_dispatch); ("e10", e10);
       ("e10o", e10_obs); ("e11", e11); ("e12", e12);
       ("e12k", e12_kernel); ("e14w", e14_wal); ("e15s", e15_serve);
-      ("e17t", e17_timer); ("micro", bechamel_suite);
-      ("smoke", smoke) ]
+      ("e17t", e17_timer); ("smoke", smoke) ]
   in
   let selected =
     match List.tl (Array.to_list Sys.argv) with
@@ -1789,5 +1519,6 @@ let () =
       List.filter (fun (n, _) -> List.mem n names) all
   in
   pf "Reproduction benchmarks: Gehani, Jagadish & Shmueli, SIGMOD 1992.@.";
+  pf "(timed cells: median of %d repeats, +- half the interquartile range)@." repeats;
   List.iter (fun (_, run) -> run ()) selected;
   pf "@.done.@."

@@ -223,6 +223,16 @@ let push_firing t conn (f : D.firing) =
 
 let items_of ps = List.map (fun it -> (it.P.i_oid, it.P.i_event, it.P.i_args)) ps
 
+(* The wire error for an exception a database call raised: one mapping
+   for the coalesced batch, the auto-commit path and the open
+   transaction. [None] for exceptions the protocol does not name. *)
+let wire_error = function
+  | D.Tabort -> Some (P.err_aborted, "transaction aborted")
+  | D.Ode_error msg -> Some (P.err_ode, msg)
+  | D.Lock_conflict oid -> Some (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid)
+  | Value.Type_error msg -> Some (P.err_ode, "type error: " ^ msg)
+  | _ -> None
+
 (* Flush the coalesced batch as one [post_many] inside one server
    transaction, then answer every request that contributed. All the
    coalesced posts came from clients with no open transaction, so order
@@ -260,16 +270,12 @@ let flush_batch t =
     match D.with_txn t.db (fun _ -> fired := D.post_many t.db items) with
     | Ok () -> answer (`Fired !fired)
     | Error `Aborted -> answer (`Err (P.err_aborted, "batch aborted"))
-    | exception D.Ode_error msg -> answer (`Err (P.err_ode, msg))
-    | exception D.Lock_conflict oid ->
-      answer (`Err (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid))
-    | exception Value.Type_error msg ->
-      answer (`Err (P.err_ode, "type error: " ^ msg))
     (* last resort: flush_batch also runs from the select loop at the
        end of each read burst, so anything escaping here would both kill
        the server and leave every coalesced waiter without a reply *)
     | exception e ->
-      answer (`Err (P.err_ode, "internal error: " ^ Printexc.to_string e))
+      let internal = (P.err_ode, "internal error: " ^ Printexc.to_string e) in
+      answer (`Err (Option.value (wire_error e) ~default:internal))
   end
 
 (* Run [f] for a connection that holds no transaction: begin/commit
@@ -278,28 +284,23 @@ let in_auto_txn t f =
   match D.with_txn t.db (fun _ -> f ()) with
   | Ok j -> P.R_ok j
   | Error `Aborted -> P.R_error (P.err_aborted, "transaction aborted")
-  | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)
-  | exception D.Lock_conflict oid ->
-    P.R_error (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid)
-  | exception Value.Type_error msg -> P.R_error (P.err_ode, "type error: " ^ msg)
+  | exception e -> (
+    match wire_error e with Some (code, msg) -> P.R_error (code, msg) | None -> raise e)
 
 (* Run [f] inside the connection's open transaction. [Tabort] from a
-   trigger action aborts that transaction — the wire client learns via
-   [err_aborted] and the transaction is gone. *)
+   trigger action, or a lock conflict, aborts that transaction — the
+   wire client learns from the error and the transaction is gone. *)
 let in_conn_txn t conn tx f =
   D.switch_txn t.db tx;
   match f () with
   | j -> P.R_ok j
-  | exception D.Tabort ->
-    conn.c_txn <- None;
-    (try D.abort t.db tx with _ -> ());
-    P.R_error (P.err_aborted, "transaction aborted")
-  | exception D.Lock_conflict oid ->
-    conn.c_txn <- None;
-    (try D.abort t.db tx with _ -> ());
-    P.R_error (P.err_ode, Printf.sprintf "lock conflict on oid %d" oid)
-  | exception D.Ode_error msg -> P.R_error (P.err_ode, msg)
-  | exception Value.Type_error msg -> P.R_error (P.err_ode, "type error: " ^ msg)
+  | exception e -> (
+    (match e with
+    | D.Tabort | D.Lock_conflict _ ->
+      conn.c_txn <- None;
+      (try D.abort t.db tx with _ -> ())
+    | _ -> ());
+    match wire_error e with Some (code, msg) -> P.R_error (code, msg) | None -> raise e)
 
 let status_json t =
   let module J = Json in

@@ -98,12 +98,12 @@ let probe_name = function
   | Commit -> "commit"
   | Action -> "action"
 
-(* Counters are [Atomic] and the kind table and trace ring are guarded
-   by [mu] because the engine's parallel step phase ([Engine.post_many])
-   emits [Transitions]/[Classified]/[Index_skipped] bumps and [Advanced]
-   spans from worker domains — counts must stay exact, not approximate,
-   under a multi-domain run. Histograms stay plain: every [record_ns]
-   site runs in a sequential pipeline phase. *)
+(* Every probe runs on the thread posting to the database; a second
+   thread only reads (a host observing a database that [Ode_net.Server]
+   drives from its own thread). Threads switch at allocation points, so
+   counters are [Atomic] and the kind table and trace ring are guarded
+   by [mu]: a read never sees a table mid-resize. Histograms stay plain:
+   only the posting thread records into them. *)
 type t = {
   mutable on : bool;
   mutable force_timing : bool;

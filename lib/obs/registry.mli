@@ -9,13 +9,16 @@
     (measured: EXPERIMENTS.md, E10-obs-overhead). Enable with
     {!set_enabled} on the registry returned by [Database.observe].
 
-    {b Thread safety.} Counters are atomic and the kind table and trace
-    ring are mutex-guarded, because the engine's parallel step phase
-    ([Engine.post_many]) emits from worker domains — counts stay exact
-    under a multi-domain run. Trace sinks run while the registry mutex
-    is held: keep them quick and never re-enter the registry from one.
-    Histograms ({!record_ns}) are {e not} synchronised — every latency
-    probe sits in a sequential pipeline phase. *)
+    {b Thread safety.} The engine posts on one thread at a time, so
+    every probe of a database runs on the thread driving it. A second
+    thread reaches the registry only to read it: a host calling
+    [Database.observe] while [Ode_net.Server] drives the database from
+    its own thread. Threads switch at allocation points, so the counters
+    stay atomic and the kind table and trace ring stay mutex-guarded: a
+    reader never sees a table mid-resize. Trace sinks run while the
+    registry mutex is held: keep them quick and never re-enter the
+    registry from one. Histograms ({!record_ns}) are {e not}
+    synchronised; only the posting thread records into them. *)
 
 (** What is counted where (emitting layer in brackets):
 
@@ -24,7 +27,8 @@
     - [Classified] — candidate triggers the dispatch stage handed to the
       classifier [Engine]
     - [Index_skipped] — active triggers the dispatch index pruned
-      without touching (0 on the brute-force path) [Engine]
+      without touching [Engine] (0 under the reference stepper's
+      brute-force scan, which only tests and benchmarks install)
     - [Transitions] — automaton advances on relevant occurrences
       [Engine], around {!Ode_event.Detector.post_classified}
     - [Slot_transitions] / [Word_transitions] — the same advances split
