@@ -646,7 +646,9 @@ let drain_wake t =
    replies and firings in the same turn that produced them. Only a
    connection whose write hit EAGAIN still has output at the next
    [select], so only those are polled for writability. No batch is
-   pending between turns. *)
+   pending between turns. A turn whose [select] saw no input for its
+   whole timeout syncs the durability backend, so the last commits
+   before an idle spell do not wait in memory for the next one. *)
 let run t =
   while not (Atomic.get t.stopping) do
     let readers =
@@ -660,6 +662,7 @@ let run t =
         t.conns
     in
     (match Unix.select readers writers [] 0.25 with
+    | [], [], _ -> D.sync_durability t.db
     | rs, _, _ ->
       if List.memq t.wake_r rs then drain_wake t;
       if List.memq t.listen_fd rs then accept_loop t;
@@ -674,7 +677,7 @@ let run t =
   done;
   (* orderly shutdown: every turn ended with its batch flushed, so all
      that is left is to give each client a bounded chance to drain its
-     outbox *)
+     outbox, then to put every acknowledged commit on disk *)
   let deadline = Unix.gettimeofday () +. 2.0 in
   let rec drain () =
     let pending =
@@ -695,7 +698,8 @@ let run t =
   List.iter (fun c -> teardown t c) t.conns;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  try Unix.close t.wake_w with Unix.Unix_error _ -> ()
+  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
+  D.close_durability t.db
 
 let start t = t.thread <- Some (Thread.create run t)
 

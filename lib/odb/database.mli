@@ -155,8 +155,10 @@ val register_fun : t -> string -> (t -> Value.t list -> Value.t) -> unit
 type durability_spec = [ `Image | `Wal of Wal.config ]
 (** Which durability backend to attach: [`Image] (the ODE1 full-image
     codec — {!save}/{!load} only, nothing written between saves) or
-    [`Wal cfg] (a write-ahead log: every commit, abort, system
-    transaction and clock advance appends a logical redo batch, group
+    [`Wal cfg] (a write-ahead log: every commit or abort — with the
+    system transaction running its [after tcommit]/[after tabort]
+    reactions — and every clock advance — with all its time-event
+    deliveries — appends one logical redo batch, group
     commits retire batches under [cfg]'s flush window, periodic
     snapshots truncate the log, and {!recover} rebuilds the database
     from snapshot + replay after a crash). Both present the same

@@ -580,28 +580,14 @@ let register_class db b =
 (* System transactions                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* A system transaction's redo batch must cover its fan-out targets
-   too: [post] delivers to them without [touch], so they never enter
-   [tx_accessed], yet their automatons advanced. Order-preserving
-   union: fan-out targets first, then the accessed set the actions
-   grew. *)
-let union_oids oids accessed =
-  let seen = Hashtbl.create 16 in
-  List.iter (fun o -> Hashtbl.replace seen o ()) oids;
-  oids
-  @ List.filter
-      (fun o ->
-        if Hashtbl.mem seen o then false
-        else begin
-          Hashtbl.replace seen o ();
-          true
-        end)
-      accessed
-
 (* Post a transaction event to every object the finished transaction
    accessed, inside a fresh system transaction (§5: commit/abort events
    belong to no user transaction). A [Tabort] raised by an action there
-   aborts only the system transaction. *)
+   aborts only the system transaction. Runs inside the commit's or
+   abort's operation, which already holds the fan-out targets [oids] in
+   its redo footprint (they are the finished transaction's accessed
+   set); the system transaction adds what it touched — [Txn.abort] does
+   that on the failure paths. *)
 let system_post db oids basic =
   let sys = Txn.begin_system db in
   let saved_current = db.txns.current in
@@ -611,32 +597,32 @@ let system_post db oids basic =
     (* [Txn.detach] would reset current; restore by hand afterwards *)
     db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns
   in
-  (try
-     List.iter
-       (fun oid ->
-         match Store.live_obj_opt db oid with
-         | Some obj -> ignore (post db sys obj basic [])
-         | None -> ())
-       oids;
-     sys.tx_status <- Committed;
-     Txn.release_locks db sys;
-     finish ()
-   with
-  | Tabort ->
-    (* [Txn.abort] emitted a batch for [sys.tx_accessed]; the union
-       batch below additionally captures the fan-out targets whose
-       full-history advances survived the undo *)
+  match
+    List.iter
+      (fun oid ->
+        match Store.live_obj_opt db oid with
+        | Some obj -> ignore (post db sys obj basic [])
+        | None -> ())
+      oids
+  with
+  | () ->
+    sys.tx_status <- Committed;
+    Txn.release_locks db sys;
+    finish ();
+    note_txn db sys
+  | exception Tabort ->
     Txn.abort db sys;
     finish ()
-  | e ->
+  | exception e ->
     Txn.abort db sys;
     finish ();
-    db.durability.dur_commit db (union_oids oids (List.rev sys.tx_accessed @ List.rev sys.tx_dirty));
-    raise e);
-  db.durability.dur_commit db (union_oids oids (List.rev sys.tx_accessed @ List.rev sys.tx_dirty))
+    raise e
 
 (* Deliver one time-event occurrence to an object, inside a system
-   transaction so fired actions can mutate objects transactionally. *)
+   transaction so fired actions can mutate objects transactionally.
+   Runs inside [Timewheel.advance_to]'s operation: the target (whose
+   automaton advanced without an access) and the system transaction's
+   footprint join the advance's one redo batch. *)
 let deliver_time_event db oid spec =
   match Store.live_obj_opt db oid with
   | Some obj ->
@@ -646,11 +632,12 @@ let deliver_time_event db oid spec =
     (try
        ignore (post db sys obj (Symbol.Time spec) []);
        sys.tx_status <- Committed;
-       Txn.release_locks db sys
+       Txn.release_locks db sys;
+       note_txn db sys
      with Tabort -> Txn.abort db sys);
     db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns;
     db.txns.current <- saved;
-    db.durability.dur_commit db (union_oids [ oid ] (List.rev sys.tx_accessed @ List.rev sys.tx_dirty))
+    if db.durability.dur_redo then note_oid db oid
   | None -> ()
 
 (* Wire the upward calls: Txn's commit/abort and Timewheel's delivery

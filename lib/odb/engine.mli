@@ -42,11 +42,6 @@ val post_db : db -> Ode_event.Symbol.basic -> Value.t list -> unit
 (** Post to the database scope (§3): [after defclass], [after create],
     [before delete]. *)
 
-val system_post : db -> oid list -> Ode_event.Symbol.basic -> unit
-(** Post a transaction event to the listed objects inside a fresh system
-    transaction (§5: commit/abort events belong to no user
-    transaction). *)
-
 (** {1 Batch posting}
 
     [post_many] drives the same three-phase pipeline over a whole batch:
@@ -58,8 +53,9 @@ val post_many : db -> (oid * Ode_event.Symbol.basic * Value.t list) list -> int
     against the detection state as of the start of the batch's step
     phase (events to the same object step in batch order); all fired
     actions run after the whole batch has stepped, in batch order then
-    declaration order. Dead or missing oids are skipped, like
-    {!system_post}. Returns the number of firings. *)
+    declaration order. Dead or missing oids are skipped, like the
+    transaction-event fan-out at commit. Returns the number of
+    firings. *)
 
 (** {1 Firing notification}
 

@@ -236,6 +236,7 @@ let image_backend () =
   {
     dur_name = "image";
     dur_attach = (fun _ -> ());
+    dur_redo = false;
     dur_commit = (fun _ _ -> ());
     dur_save = save;
     dur_load = load;

@@ -493,7 +493,9 @@ let pull_group db ~due ~oid ~spec =
   remove_where db oid (fun tm -> tm.tm_due = due && tm.tm_spec = spec)
 
 (* The head-of-queue loop: deliver the minimum (due, seq) timer while
-   it is due by [target]. *)
+   it is due by [target]. One operation: every delivery's system
+   transaction, the reschedules and the final clock go into one redo
+   batch, which holds each touched object once. *)
 let advance_to db target =
   if target < db.wheel.clock_ms then ode_error "clock cannot go backwards";
   let advance_wheel d =
@@ -533,13 +535,9 @@ let advance_to db target =
         group;
       loop ()
   in
-  loop ();
-  advance_wheel target;
-  (* capture the final clock and the timer changes since the last
-     batch (the reschedules after the last delivery) — each delivery's
-     system transaction emitted its own batch mid-loop, but the clock
-     kept advancing after the last due timer *)
-  db.durability.dur_commit db []
+  with_operation db (fun () ->
+      loop ();
+      advance_wheel target)
 
 let advance_clock db span =
   if span < 0L then ode_error "clock cannot go backwards";

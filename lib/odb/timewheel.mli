@@ -118,7 +118,9 @@ val set_clock : db -> int64 -> unit
 val advance_to : db -> int64 -> unit
 (** Advance simulated time to an absolute instant, firing due timers in
     order; duplicate timers for one (object, spec, instant) deliver a
-    single occurrence. Raises {!Types.Ode_error} on going backwards. *)
+    single occurrence. One database operation: the deliveries, the
+    reschedules and the final clock go into one redo batch. Raises
+    {!Types.Ode_error} on going backwards. *)
 
 val advance_clock : db -> int64 -> unit
 (** {!advance_to} by a relative span (ms). *)

@@ -150,11 +150,13 @@ let abort db tx =
   detach db tx;
   (* Aborts mutate durable state too: full-history automaton advances
      (including those of the [before tabort] posts above) survive the
-     undo by design, and the txn-id counter moved — so an abort emits a
-     redo batch like a commit does. *)
-  db.durability.dur_commit db (List.rev tx.tx_accessed @ List.rev tx.tx_dirty);
-  if not tx.tx_system then
-    !system_post_hook db (List.rev tx.tx_accessed) (Symbol.Tabort After)
+     undo by design, and the txn-id counter moved — so an abort is an
+     operation that emits one redo batch, [after tabort] reactions
+     included, like a commit. *)
+  with_operation db (fun () ->
+      note_txn db tx;
+      if not tx.tx_system then
+        !system_post_hook db (List.rev tx.tx_accessed) (Symbol.Tabort After))
 
 let commit db tx =
   if tx.tx_status <> Active then ode_error "transaction already finished";
@@ -205,15 +207,15 @@ let commit db tx =
     release_locks db tx;
     detach db tx;
     restore ();
-    (* commit is the durability boundary: emit one redo batch covering
+    (* commit is the durability boundary: one redo batch covers
        everything this transaction touched (the tcomplete rounds above
-       already extended [tx_accessed] and [tx_dirty] holds the
-       (de)activation targets that carry no access semantics); the
-       [after tcommit] system transaction below emits its own batch *)
-    db.durability.dur_commit db
-      (List.rev tx.tx_accessed @ List.rev tx.tx_dirty);
-    if not tx.tx_system then
-      !system_post_hook db (List.rev tx.tx_accessed) Symbol.Tcommit;
+       already extended [tx_accessed], and [tx_dirty] holds the
+       (de)activation targets that carry no access semantics) together
+       with what its [after tcommit] system transaction touches *)
+    with_operation db (fun () ->
+        note_txn db tx;
+        if not tx.tx_system then
+          !system_post_hook db (List.rev tx.tx_accessed) Symbol.Tcommit);
     if timed then Registry.record_ns obs Registry.Commit (Registry.now_ns () - t0);
     Ok ()
   | exception Tabort ->

@@ -22,7 +22,9 @@ val set_post_hook :
 
 val set_system_post_hook : (db -> oid list -> Ode_event.Symbol.basic -> unit) -> unit
 (** Install the system-transaction poster used for [after tcommit] /
-    [after tabort] (§5). *)
+    [after tabort] (§5). It runs inside the commit's or abort's
+    database operation, whose redo footprint already holds the listed
+    objects. *)
 
 (** {1 Lifecycle} *)
 
@@ -55,11 +57,14 @@ val apply_undo : db -> undo_entry -> unit
 
 val abort : db -> txn -> unit
 (** Posts [before tabort], undoes all effects, releases locks, then
-    posts [after tabort] via a system transaction. *)
+    posts [after tabort] via a system transaction. The abort and that
+    system transaction are one database operation: one redo batch. *)
 
 val commit : db -> txn -> (unit, [ `Aborted ]) result
 (** Runs the [before tcomplete] rounds (bounded by the database's
     [max_tcomplete_rounds]; {!Types.Ode_error} on livelock), then
-    commits and posts [after tcommit] via a system transaction. *)
+    commits and posts [after tcommit] via a system transaction. The
+    commit and that system transaction are one database operation: one
+    redo batch. *)
 
 val with_txn : db -> (txn -> 'a) -> ('a, [ `Aborted ]) result

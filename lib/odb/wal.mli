@@ -1,6 +1,8 @@
-(** Write-ahead-log durability backend: logical redo batches appended at
-    commit under a group-commit window, CRC-framed, with periodic ODE1
-    snapshots + log truncation; recovery is snapshot + replay.
+(** Write-ahead-log durability backend: logical redo batches — one per
+    database operation (a commit or abort with its transaction-event
+    reactions, a clock advance with its deliveries) — appended under a
+    group-commit window, CRC-framed, with periodic ODE1 snapshots + log
+    truncation; recovery is snapshot + replay.
 
     Sits beside {!Persist} in the layer stack (depends on {!Persist},
     {!Store}, {!Schema} state via replay, and {!Ode_obs}; never on
@@ -30,13 +32,15 @@ type config = {
           batch arrives at least this long after the last flush. [0] =
           write + sync every batch. *)
   snapshot_every : int;
-      (** checkpoint after this many batches (skipped while transactions
-          are open); [<= 0] = only on [save]/[load]/recovery *)
+      (** checkpoint after this many batches — one per database
+          operation (skipped while transactions are open); [<= 0] =
+          only on [save]/[load]/recovery *)
   sync_on_flush : bool;  (** [fsync] after each physical write *)
   on_batch : (db -> unit) option;
       (** test hook, called after each batch is framed (and, under
-          [flush_ms = 0], flushed) — the crash harness captures shadow
-          snapshots here *)
+          [flush_ms = 0], flushed), once per database operation with the
+          whole operation's state in place — the crash harness captures
+          shadow snapshots here *)
 }
 
 val config :
@@ -106,6 +110,8 @@ val apply_batch : db -> string -> unit
     written by this module always decodes). *)
 
 val crc32 : string -> int
+(** IEEE 802.3 CRC-32 (reflected), computed slicing-by-8; equal to the
+    bytewise table loop ([crc32 "123456789" = 0xCBF43926]). *)
 
 type entry_summary =
   | Upsert of { oid : int; class_name : string; n_triggers : int }
