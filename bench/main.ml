@@ -1496,13 +1496,58 @@ let e17_timer () =
   pf "shape: arming is O(n) vs O(1); the wheel's per-delivery cost stays flat\n\
       from 10^4 to 10^6 pending.@."
 
+(* ------------------------------------------------------------------ *)
+(* E21-codec: request decode, generic JSON tree vs typed cursor        *)
+(* ------------------------------------------------------------------ *)
+
+(* Times the generic decode ([Json.of_string] then [decode_request])
+   against [Protocol.decode_payload] on two frames: an ingest-shaped
+   100-item post_many (perfbench's event, seed-fixed meter oids and
+   readings), which the typed cursor reads, and a stockroom-shaped
+   [call], which the cursor hands to the generic path, so its row
+   prices the fallback's extra cost. Exits 1 if the two decoders
+   disagree on a frame. *)
+let e21_codec () =
+  section "E21-codec: request decode, generic JSON tree vs typed cursor";
+  let module Pr = Ode_net.Protocol in
+  let generic payload =
+    match Json.of_string payload with Ok j -> Pr.decode_request j | Error e -> Error e
+  in
+  let rng = Random.State.make [| 21 |] in
+  let sample = Symbol.Method (Symbol.After, "sample") in
+  let ingest =
+    Pr.Post_many
+      (List.init 100 (fun _ ->
+           { Pr.i_oid = 1 + Random.State.int rng 20_000; i_event = sample;
+             i_args = [ Value.Int (Random.State.int rng 100) ] }))
+  in
+  let call = Pr.Call (1042, "withdraw", [ Value.Oid 1517; Value.Int 87 ]) in
+  let row (name, req, events) =
+    let payload = Pr.encode_request ~id:123_456 req in
+    (match (generic payload, Pr.decode_payload payload) with
+    | Ok a, Ok b when compare a b = 0 -> ()
+    | _ ->
+      Fmt.epr "e21c: the decoders disagree on the %s frame@." name;
+      exit 1);
+    let time f = per_call ~per:events (fun () -> ignore (Sys.opaque_identity (f payload))) in
+    let g = time generic and t = time Pr.decode_payload in
+    [ ("frame", S name); ("bytes", I (String.length payload)); ("events", I events);
+      ("path", S (if Pr.decode_typed payload = None then "fallback" else "typed"));
+      ("generic_ns_per_event", T g); ("decode_payload_ns_per_event", T t);
+      ("ratio", F (t.median /. g.median)) ]
+  in
+  emit
+    [ ("rows", List.map row [ ("ingest post_many", ingest, 100); ("stockroom call", call, 1) ]) ];
+  pf "shape: the typed cursor skips the JSON tree on the ingest frame; the call\n\
+      pays one failed cursor probe on top of the generic decode.@."
+
 let () =
   let all =
     [ ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
       ("e7", e7); ("e8", e8); ("e9", e9); ("e9d", e9_dispatch); ("e10", e10);
       ("e10o", e10_obs); ("e11", e11); ("e12", e12);
       ("e12k", e12_kernel); ("e14w", e14_wal); ("e15s", e15_serve);
-      ("e17t", e17_timer); ("smoke", smoke) ]
+      ("e17t", e17_timer); ("e21c", e21_codec); ("smoke", smoke) ]
   in
   let selected =
     match List.tl (Array.to_list Sys.argv) with

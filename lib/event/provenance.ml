@@ -168,7 +168,11 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
           ia.count () + List.fold_left (fun acc (_, i) -> acc + i.count ()) 0 !rights);
     }
   | I_relative_plus a ->
-    let links : (binding * inst) list ref = ref [ ([], mk a) ] in
+    (* The base link starts every chain. It stays outside the capped
+       list: evicting it would stop new chains while the detector still
+       starts them. *)
+    let base = ([], mk a) in
+    let links : (binding * inst) list ref = ref [] in
     {
       step =
         (fun ~leaf_matches ~mask ->
@@ -176,15 +180,18 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
             List.concat_map
               (fun (env0, i) ->
                 List.map (fun e -> merge env0 e) (i.step ~leaf_matches ~mask))
-              !links
+              (!links @ [ base ])
           in
           let out = capm out in
           links := cap max_matches (List.map (fun env -> (env, mk a)) out @ !links);
           out);
-      count = (fun () -> List.fold_left (fun acc (_, i) -> acc + i.count ()) 0 !links);
+      count =
+        (fun () -> List.fold_left (fun acc (_, i) -> acc + i.count ()) 0 (base :: !links));
     }
   | I_relative_n (n, a) ->
-    let links : (int * binding * inst) list ref = ref [ (1, [], mk a) ] in
+    (* the level-1 base link is pinned as in [I_relative_plus] *)
+    let base = (1, [], mk a) in
+    let links : (int * binding * inst) list ref = ref [] in
     {
       step =
         (fun ~leaf_matches ~mask ->
@@ -192,14 +199,16 @@ let rec instantiate ~max_matches ~context (e : indexed) : inst =
             List.concat_map
               (fun (level, env0, i) ->
                 List.map (fun e -> (level, merge env0 e)) (i.step ~leaf_matches ~mask))
-              !links
+              (!links @ [ base ])
           in
           let out = capm (List.filter_map (fun (l, e) -> if l >= n then Some e else None) hits) in
           links :=
             cap max_matches
               (List.map (fun (l, e) -> (min (l + 1) n, e, mk a)) hits @ !links);
           out);
-      count = (fun () -> List.fold_left (fun acc (_, _, i) -> acc + i.count ()) 0 !links);
+      count =
+        (fun () ->
+          List.fold_left (fun acc (_, _, i) -> acc + i.count ()) 0 (base :: !links));
     }
   | I_prior (a, b) ->
     let ia = mk a and ib = mk b in

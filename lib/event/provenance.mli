@@ -10,7 +10,8 @@
 
     The price is exactly what §5 warns about: live partial matches grow
     with the history, so state is unbounded. [max_matches] caps the
-    partial-match sets (oldest kept); beyond it provenance is best-effort
+    partial-match sets (newest kept; the base link that starts
+    every [relative+]/[relative n] chain is never evicted); beyond it provenance is best-effort
     and the boolean answer may differ from {!Detector.post}. Use this
     when actions genuinely need all witness bindings; use the automaton
     everywhere else. *)

@@ -84,8 +84,14 @@ let next d =
     let avail = Buffer.length d.buf - d.off in
     if avail < 4 then Ok None
     else begin
-      let hdr = Buffer.sub d.buf d.off 4 in
-      let len = len_of_header hdr 0 in
+      (* the header is read in place: no copy of its 4 bytes *)
+      let b = d.buf and o = d.off in
+      let len =
+        (Char.code (Buffer.nth b o) lsl 24)
+        lor (Char.code (Buffer.nth b (o + 1)) lsl 16)
+        lor (Char.code (Buffer.nth b (o + 2)) lsl 8)
+        lor Char.code (Buffer.nth b (o + 3))
+      in
       if len <= 0 || len > d.max then begin
         d.bad <- Some len;
         Error (`Oversized len)

@@ -335,6 +335,331 @@ let decode_request j =
   Ok (id, req)
 
 (* ------------------------------------------------------------------ *)
+(* Payloads: the typed cursor and the generic fallback                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [post] and [post_many] frames in the shape [encode_request] writes
+   are decoded straight from the payload bytes: no [Json.t], no key
+   strings, no [List.assoc_opt]. The cursor accepts a strict subset of
+   JSON: keys in [encode_request]'s order, each once; strings without
+   escapes; integers in [int] range; floats with a [.] and no
+   exponent; values that are null, a bool, a number, a string or
+   [{"oid":n}]. On that subset the generic path returns the same
+   request. At the first byte outside it the cursor raises [Fallback]
+   and the generic path decodes the whole payload, so every error reply
+   (code, message, salvaged id) is the generic path's. The subset's
+   nesting is fixed, so the generic path's depth bound is never
+   needed here. *)
+exception Fallback
+
+type cursor = {
+  src : string;
+  mutable pos : int;
+  (* the last event object decoded: its byte span and its value, shared
+     by the following items whose event bytes are the same *)
+  mutable ev_off : int;
+  mutable ev_len : int;
+  mutable ev : Symbol.basic;
+}
+
+let skip_ws c =
+  let n = String.length c.src in
+  while
+    c.pos < n
+    && match String.unsafe_get c.src c.pos with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done
+
+(* the next non-blank byte, ['\000'] at the end (it matches nothing the
+   cursor accepts, so the caller falls back) *)
+let peek c =
+  skip_ws c;
+  if c.pos < String.length c.src then String.unsafe_get c.src c.pos else '\000'
+
+let expect c ch = if peek c = ch then c.pos <- c.pos + 1 else raise_notrace Fallback
+
+(* [true] and the cursor moved past [lit] when the next bytes are [lit] *)
+let accept c lit =
+  skip_ws c;
+  let l = String.length lit in
+  if c.pos + l > String.length c.src then false
+  else begin
+    let i = ref 0 in
+    while !i < l && String.unsafe_get c.src (c.pos + !i) = String.unsafe_get lit !i do
+      incr i
+    done;
+    if !i = l then c.pos <- c.pos + l;
+    !i = l
+  end
+
+(* [key c "\"oid\""] reads the key and its colon *)
+let key c k =
+  if not (accept c k) then raise_notrace Fallback;
+  expect c ':'
+
+(* the comma before a field that is not the first, then its key *)
+let next_key c k =
+  expect c ',';
+  key c k
+
+let is_num_char = function
+  | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+  | _ -> false
+
+(* The end of the number token at the cursor, delimited as [Json]
+   delimits it. *)
+let token_end c =
+  skip_ws c;
+  let n = String.length c.src in
+  let i = ref c.pos in
+  while !i < n && is_num_char (String.unsafe_get c.src !i) do
+    incr i
+  done;
+  !i
+
+(* [-?digits] in [int] range; the cursor stays put when the token is
+   anything else. Up to 18 digits cannot overflow and are summed in
+   place; longer ones go through [int_of_string] as in [Json]. *)
+let int_ c =
+  let stop = token_end c in
+  let neg = c.pos < stop && c.src.[c.pos] = '-' in
+  let first = if neg then c.pos + 1 else c.pos in
+  if stop = first then raise_notrace Fallback;
+  let v = ref 0 in
+  for i = first to stop - 1 do
+    match String.unsafe_get c.src i with
+    | '0' .. '9' as d -> v := (!v * 10) + (Char.code d - 48)
+    | _ -> raise_notrace Fallback
+  done;
+  let v =
+    if stop - first <= 18 then if neg then - !v else !v
+    else
+      match int_of_string_opt (String.sub c.src c.pos (stop - c.pos)) with
+      | Some v -> v
+      | None -> raise_notrace Fallback
+  in
+  c.pos <- stop;
+  v
+
+(* a token with a [.] and no exponent, as [float_of_string] reads it *)
+let float_ c =
+  let stop = token_end c in
+  let tok = String.sub c.src c.pos (stop - c.pos) in
+  if (not (String.contains tok '.')) || String.contains tok 'e' || String.contains tok 'E'
+  then raise_notrace Fallback;
+  match float_of_string_opt tok with
+  | Some f when Float.is_finite f ->
+    c.pos <- stop;
+    f
+  | _ -> raise_notrace Fallback
+
+let string_ c =
+  expect c '"';
+  let s = c.src and start = c.pos in
+  let n = String.length s in
+  while c.pos < n && match String.unsafe_get s c.pos with '"' | '\\' -> false | _ -> true do
+    c.pos <- c.pos + 1
+  done;
+  if c.pos >= n || String.unsafe_get s c.pos = '\\' then raise_notrace Fallback;
+  c.pos <- c.pos + 1;
+  String.sub s start (c.pos - 1 - start)
+
+let value c =
+  match peek c with
+  | 'n' when accept c "null" -> Value.Unit
+  | 't' when accept c "true" -> Value.Bool true
+  | 'f' when accept c "false" -> Value.Bool false
+  | '"' -> Value.String (string_ c)
+  | '{' ->
+    c.pos <- c.pos + 1;
+    key c {|"oid"|};
+    let oid = int_ c in
+    expect c '}';
+    Value.Oid oid
+  | '-' | '0' .. '9' -> ( try Value.Int (int_ c) with Fallback -> Value.Float (float_ c))
+  | _ -> raise_notrace Fallback
+
+(* [[e, ...]] with [elt] reading one element *)
+let list_of c elt =
+  expect c '[';
+  if peek c = ']' then begin
+    c.pos <- c.pos + 1;
+    []
+  end
+  else begin
+    let rec go acc =
+      let acc = elt c :: acc in
+      match peek c with
+      | ',' ->
+        c.pos <- c.pos + 1;
+        go acc
+      | ']' ->
+        c.pos <- c.pos + 1;
+        List.rev acc
+      | _ -> raise_notrace Fallback
+    in
+    go []
+  end
+
+let qualifier c =
+  if accept c {|"after"|} then Symbol.After
+  else if accept c {|"before"|} then Symbol.Before
+  else raise_notrace Fallback
+
+(* [encode_pattern]'s keys, in its order; each is optional *)
+let pattern_keys = [| {|"year"|}; {|"mon"|}; {|"day"|}; {|"hr"|}; {|"min"|}; {|"sec"|}; {|"ms"|} |]
+
+let pattern c =
+  expect c '{';
+  let got = Array.make 7 None in
+  if peek c = '}' then c.pos <- c.pos + 1
+  else begin
+    let rec field i =
+      if i = 7 then raise_notrace Fallback
+      else if accept c pattern_keys.(i) then begin
+        expect c ':';
+        got.(i) <- Some (int_ c);
+        match peek c with
+        | ',' ->
+          c.pos <- c.pos + 1;
+          field (i + 1)
+        | '}' -> c.pos <- c.pos + 1
+        | _ -> raise_notrace Fallback
+      end
+      else field (i + 1)
+    in
+    field 0
+  end;
+  { Symbol.year = got.(0); mon = got.(1); day = got.(2); hr = got.(3);
+    min = got.(4); sec = got.(5); ms = got.(6) }
+
+let time_spec c =
+  expect c '{';
+  let spec =
+    if accept c {|"every"|} then (
+      expect c ':';
+      Symbol.Every (Int64.of_int (int_ c)))
+    else if accept c {|"after"|} then (
+      expect c ':';
+      Symbol.After_period (Int64.of_int (int_ c)))
+    else (
+      key c {|"at"|};
+      Symbol.At (pattern c))
+  in
+  expect c '}';
+  spec
+
+let basic c =
+  expect c '{';
+  key c {|"k"|};
+  let qual () =
+    next_key c {|"q"|};
+    qualifier c
+  in
+  let ev =
+    if accept c {|"method"|} then (
+      let q = qual () in
+      next_key c {|"name"|};
+      Symbol.Method (q, string_ c))
+    else if accept c {|"create"|} then Symbol.Create
+    else if accept c {|"delete"|} then Symbol.Delete
+    else if accept c {|"update"|} then Symbol.Update (qual ())
+    else if accept c {|"read"|} then Symbol.Read (qual ())
+    else if accept c {|"access"|} then Symbol.Access (qual ())
+    else if accept c {|"tbegin"|} then Symbol.Tbegin
+    else if accept c {|"tcomplete"|} then Symbol.Tcomplete
+    else if accept c {|"tcommit"|} then Symbol.Tcommit
+    else if accept c {|"tabort"|} then Symbol.Tabort (qual ())
+    else if accept c {|"time"|} then (
+      next_key c {|"spec"|};
+      Symbol.Time (time_spec c))
+    else raise_notrace Fallback
+  in
+  expect c '}';
+  ev
+
+(* Equal bytes decode to an equal event, so an item whose event object
+   repeats the previous one's bytes reuses its value. *)
+let shared_basic c =
+  skip_ws c;
+  let s = c.src and off = c.pos and len = c.ev_len in
+  let same =
+    len > 0
+    && off + len <= String.length s
+    &&
+    let i = ref 0 in
+    while !i < len && String.unsafe_get s (off + !i) = String.unsafe_get s (c.ev_off + !i) do
+      incr i
+    done;
+    !i = len
+  in
+  if same then begin
+    c.pos <- off + len;
+    c.ev
+  end
+  else begin
+    let ev = basic c in
+    c.ev_off <- off;
+    c.ev_len <- c.pos - off;
+    c.ev <- ev;
+    ev
+  end
+
+let item c =
+  expect c '{';
+  key c {|"oid"|};
+  let i_oid = int_ c in
+  next_key c {|"event"|};
+  let i_event = shared_basic c in
+  next_key c {|"args"|};
+  let i_args = list_of c value in
+  expect c '}';
+  { i_oid; i_event; i_args }
+
+let typed_request c =
+  expect c '{';
+  key c {|"id"|};
+  let id = int_ c in
+  next_key c {|"verb"|};
+  let req =
+    if accept c {|"post_many"|} then (
+      next_key c {|"items"|};
+      Post_many (list_of c item))
+    else if accept c {|"post"|} then (
+      next_key c {|"item"|};
+      Post (item c))
+    else raise_notrace Fallback
+  in
+  expect c '}';
+  skip_ws c;
+  if c.pos <> String.length c.src then raise_notrace Fallback;
+  (id, req)
+
+let decode_typed payload =
+  let c = { src = payload; pos = 0; ev_off = 0; ev_len = 0; ev = Symbol.Create } in
+  match typed_request c with r -> Some r | exception Fallback -> None
+
+type error = { e_id : int; e_code : string; e_msg : string }
+
+let decode_generic payload =
+  match Json.of_string payload with
+  | Error msg -> Error { e_id = -1; e_code = err_parse; e_msg = msg }
+  | Ok j -> (
+    match decode_request j with
+    | Ok _ as ok -> ok
+    | Error msg ->
+      (* salvage the id when the envelope carried one, so the client can
+         correlate the rejection *)
+      let e_id = match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1 in
+      Error { e_id; e_code = err_bad_request; e_msg = msg })
+
+let decode_payload payload =
+  match decode_typed payload with Some r -> Ok r | None -> decode_generic payload
+
+(* ------------------------------------------------------------------ *)
 (* Replies and notifications                                           *)
 (* ------------------------------------------------------------------ *)
 

@@ -83,6 +83,27 @@ val verb_of_request : request -> string
 val encode_request : id:int -> request -> string
 val decode_request : Json.t -> (int * request, string) result
 
+(** {1 Request payloads (server side)} *)
+
+type error = { e_id : int; e_code : string; e_msg : string }
+(** A rejected payload: the reply's id ([-1] when none could be
+    salvaged), its error code ({!err_parse} or {!err_bad_request}) and
+    message. *)
+
+val decode_payload : string -> (int * request, error) result
+(** Decode one request frame payload. [post] and [post_many] frames in
+    the shape {!encode_request} writes are read straight from the bytes
+    by {!decode_typed}; every other payload takes the generic path,
+    {!Json.of_string} then {!decode_request}. Both paths give the same
+    result, and every error is the generic path's. *)
+
+val decode_typed : string -> (int * request) option
+(** The typed cursor alone: [None] when the payload leaves the subset
+    it reads — another verb, keys in another order or repeated, string
+    escapes, integers outside [int] range, exponents, the
+    [{"float": ...}] forms, or malformed JSON. Consecutive items with
+    equal event bytes share one {!Symbol.basic} value. *)
+
 (** {1 Server → client messages} *)
 
 val encode_reply : id:int -> response -> string

@@ -508,26 +508,17 @@ let handle_payload t conn payload =
   t.n_requests <- t.n_requests + 1;
   let obs = D.observe t.db in
   if Registry.enabled obs then Registry.incr obs Registry.Net_requests;
-  match Json.of_string payload with
-  | Error msg -> reply conn ~id:(-1) (P.R_error (P.err_parse, msg))
-  | Ok j -> (
-    match P.decode_request j with
-    | Error msg ->
-      (* salvage the id when the envelope carried one, so the client can
-         correlate the rejection *)
-      let id =
-        match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1
-      in
-      reply conn ~id (P.R_error (P.err_bad_request, msg))
-    | Ok (id, req) ->
-      let t0 = Registry.now_ns () in
-      (* exception barrier: one bad request must never take down the
-         select loop — anything the verb handlers did not map to a wire
-         error themselves becomes an error reply on this connection *)
-      (try handle_request t conn ~id req
-       with e ->
-         reply conn ~id (P.R_error (P.err_ode, "internal error: " ^ Printexc.to_string e)));
-      Hist.record (verb_hist t (P.verb_of_request req)) (Registry.now_ns () - t0))
+  match P.decode_payload payload with
+  | Error { P.e_id; e_code; e_msg } -> reply conn ~id:e_id (P.R_error (e_code, e_msg))
+  | Ok (id, req) ->
+    let t0 = Registry.now_ns () in
+    (* exception barrier: one bad request must never take down the
+       select loop — anything the verb handlers did not map to a wire
+       error themselves becomes an error reply on this connection *)
+    (try handle_request t conn ~id req
+     with e ->
+       reply conn ~id (P.R_error (P.err_ode, "internal error: " ^ Printexc.to_string e)));
+    Hist.record (verb_hist t (P.verb_of_request req)) (Registry.now_ns () - t0)
 
 (* ------------------------------------------------------------------ *)
 (* Connection lifecycle                                                *)

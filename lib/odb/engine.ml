@@ -622,22 +622,31 @@ let system_post db oids basic =
    transaction so fired actions can mutate objects transactionally.
    Runs inside [Timewheel.advance_to]'s operation: the target (whose
    automaton advanced without an access) and the system transaction's
-   footprint join the advance's one redo batch. *)
+   footprint join the advance's one redo batch. Like [system_post], any
+   other exception aborts the system transaction and restores the
+   caller's before it propagates. *)
 let deliver_time_event db oid spec =
   match Store.live_obj_opt db oid with
   | Some obj ->
     let sys = Txn.begin_system db in
     let saved = db.txns.current in
     db.txns.current <- Some sys;
-    (try
-       ignore (post db sys obj (Symbol.Time spec) []);
-       sys.tx_status <- Committed;
-       Txn.release_locks db sys;
-       note_txn db sys
-     with Tabort -> Txn.abort db sys);
-    db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns;
-    db.txns.current <- saved;
-    if db.durability.dur_redo then note_oid db oid
+    let finish () =
+      db.txns.open_txns <- List.filter (fun t -> not (t == sys)) db.txns.open_txns;
+      db.txns.current <- saved;
+      if db.durability.dur_redo then note_oid db oid
+    in
+    (match ignore (post db sys obj (Symbol.Time spec) []) with
+    | () ->
+      sys.tx_status <- Committed;
+      Txn.release_locks db sys;
+      note_txn db sys
+    | exception Tabort -> Txn.abort db sys
+    | exception e ->
+      Txn.abort db sys;
+      finish ();
+      raise e);
+    finish ()
   | None -> ()
 
 (* Wire the upward calls: Txn's commit/abort and Timewheel's delivery

@@ -516,6 +516,15 @@ let advance_to db target =
          doubled delivery would wrongly feed expressions like
          [!prior(dayBegin, ...)] twice. *)
       let group = pull_group db ~due:tm.tm_due ~oid:tm.tm_oid ~spec:tm.tm_spec in
+      let rearm () =
+        List.iter
+          (fun t ->
+            if timer_alive db t then
+              match reschedule db t ~fired_at:t.tm_due with
+              | Some t' -> insert_timer db t'
+              | None -> ())
+          group
+      in
       if List.exists (timer_alive db) group then begin
         let obs = db.obs in
         if Ode_obs.Registry.enabled obs then begin
@@ -524,15 +533,14 @@ let advance_to db target =
             (Ode_obs.Trace.Timer_delivered
                { oid = tm.tm_oid; at_ms = tm.tm_due })
         end;
-        !deliver_hook db tm.tm_oid tm.tm_spec
+        (* an action that raises must not lose the pulled group's
+           periodic timers *)
+        try !deliver_hook db tm.tm_oid tm.tm_spec
+        with e ->
+          rearm ();
+          raise e
       end;
-      List.iter
-        (fun t ->
-          if timer_alive db t then
-            match reschedule db t ~fired_at:t.tm_due with
-            | Some t' -> insert_timer db t'
-            | None -> ())
-        group;
+      rearm ();
       loop ()
   in
   with_operation db (fun () ->

@@ -265,6 +265,290 @@ let test_json_limits () =
   | Ok _ -> Alcotest.fail "nesting bomb must fail to parse"
 
 (* ------------------------------------------------------------------ *)
+(* Request payloads: typed cursor = generic path                       *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference the cursor must agree with on every input: the generic
+   decode, [Json.of_string] then [decode_request], salvaging the id. *)
+let generic_decode payload =
+  match Json.of_string payload with
+  | Error msg -> Error (-1, P.err_parse, msg)
+  | Ok j -> (
+    match P.decode_request j with
+    | Ok r -> Ok r
+    | Error msg ->
+      let id = match Json.member "id" j with Some (Json.Int id) -> id | _ -> -1 in
+      Error (id, P.err_bad_request, msg))
+
+let payload_decode payload =
+  match P.decode_payload payload with
+  | Ok r -> Ok r
+  | Error { P.e_id; e_code; e_msg } -> Error (e_id, e_code, e_msg)
+
+(* [compare], not [=]: a [{"float":"nan"}] argument decodes to NaN *)
+let same_decode s = compare (payload_decode s) (generic_decode s) = 0
+
+(* Mutations of a canonical encoding, each aimed at one edge of the
+   cursor's subset. The tree edits rewrite one object only, so most of
+   the frame stays inside the subset. *)
+let mutate =
+  let open QCheck.Gen in
+  (* [f] rewrites the fields of the [k]th object in pre-order *)
+  let one_obj f s =
+    match Json.of_string s with
+    | Error _ -> return s
+    | Ok j ->
+      let seen = ref 0 in
+      let rec walk k = function
+        | Json.Obj kvs ->
+          let here = !seen = k in
+          incr seen;
+          let kvs = List.map (fun (key, v) -> (key, walk k v)) kvs in
+          Json.Obj (if here then f kvs else kvs)
+        | Json.List xs -> Json.List (List.map (walk k) xs)
+        | v -> v
+      in
+      ignore (walk (-1) j);
+      let n_objs = !seen in
+      map
+        (fun k ->
+          seen := 0;
+          Json.to_string (walk k j))
+        (int_bound (max 0 (n_objs - 1)))
+  in
+  let is_digit ch = ch >= '0' && ch <= '9' in
+  let run_starts s i = is_digit s.[i] && (i = 0 || not (is_digit s.[i - 1])) in
+  (* replace the [k]th run of digits *)
+  let subst_digits s k by =
+    let b = Buffer.create (String.length s + 32) in
+    let run = ref (-1) in
+    String.iteri
+      (fun i ch ->
+        if run_starts s i then incr run;
+        if is_digit ch && !run = k then (if run_starts s i then Buffer.add_string b by)
+        else Buffer.add_char b ch)
+      s;
+    Buffer.contents b
+  in
+  let digit_runs s =
+    let k = ref 0 in
+    String.iteri (fun i _ -> if run_starts s i then incr k) s;
+    !k
+  in
+  let splice s i by = String.sub s 0 i ^ by ^ String.sub s i (String.length s - i) in
+  fun s ->
+    let n = String.length s in
+    let at = map (fun i -> i mod (n + 1)) nat in
+    frequency
+      [
+        (1, return s);
+        (1, map (fun i -> String.sub s 0 i) (int_bound n));
+        ( 2,
+          map2
+            (fun i ch ->
+              if n = 0 then s else String.mapi (fun j c -> if j = i mod n then ch else c) s)
+            nat
+            (oneofl
+               [ '"'; '\\'; ','; ':'; '{'; '}'; '['; ']'; ' '; 'e'; '.'; '-'; '0'; 'x'; '\000' ]) );
+        (1, one_obj List.rev s);
+        (* a repeated key: the generic path keeps the first value *)
+        ( 2,
+          one_obj
+            (function
+              | (k, v) :: rest ->
+                let v' =
+                  match v with
+                  | Json.Int n -> Json.Int (n + 1)
+                  | Json.String x -> Json.String (x ^ "x")
+                  | v -> v
+                in
+                (k, v) :: (k, v') :: rest
+              | [] -> [])
+            s );
+        (* JSON's four blanks, then two bytes that are not blanks *)
+        (3, map2 (splice s) at (oneofl [ " "; "\n\t"; "\r "; "\000"; "\012" ]));
+        (1, return (String.concat ", " (String.split_on_char ',' s)));
+        (1, return (String.concat " : " (String.split_on_char ':' s)));
+        (* an escape for 'a': inside a string it is a letter, outside a fault *)
+        (1, map (fun i -> splice s i {|\u0061|}) at);
+        ( 3,
+          map2
+            (fun k by -> subst_digits s (k mod (1 + digit_runs s)) by)
+            nat
+            (oneofl
+               [ "12345678901234567890"; "4611686018427387904"; "-4611686018427387904";
+                 "4611686018427387903"; "1e3"; "1E3"; "1e999"; "-1e999"; "1.5"; "-0.25";
+                 "1.5.2"; "-"; "007"; "1-2" ]) );
+        (1, map (fun tail -> s ^ tail) (oneofl [ " "; "x"; "}"; ","; s ]));
+        (1, return (String.make 100_000 '['));
+        ( 1,
+          return
+            ({|{"id":3,"verb":"post_many","items":[{"oid":1,"event":{"k":"create"},"args":|}
+            ^ String.make 600 '[' ^ String.make 600 ']' ^ "}]}") );
+      ]
+
+(* Frames are post-shaped three times in four, the rest any request;
+   up to three mutations apply in turn. *)
+let qcheck_payload_decode =
+  let frame =
+    QCheck.Gen.(
+      let* id = nat in
+      let+ r =
+        frequency
+          [ (1, Gen.request);
+            (3, oneof [ map (fun it -> P.Post it) Gen.item;
+                        map (fun its -> P.Post_many its) (list_size (int_range 1 4) Gen.item) ]) ]
+      in
+      P.encode_request ~id r)
+  in
+  let rec mutations k s =
+    if k = 0 then QCheck.Gen.return s else QCheck.Gen.(mutate s >>= mutations (k - 1))
+  in
+  QCheck.Test.make ~count:500 ~name:"decode_payload = generic decode"
+    (QCheck.make ~print:(fun s -> Printf.sprintf "%S" s)
+       QCheck.Gen.(pair frame (int_bound 3) >>= fun (s, k) -> mutations k s))
+    (fun s ->
+      (* every prefix too: truncation at every length *)
+      let n = String.length s in
+      let rec prefixes i =
+        i > n
+        || (same_decode (String.sub s 0 i)
+           || QCheck.Test.fail_reportf "disagree on prefix %d: %S" i (String.sub s 0 i))
+           && prefixes (i + 1)
+      in
+      prefixes (if n > 4096 then n else 0))
+
+(* Hand-picked frames at the edges of the cursor's subset: each must
+   decode as the generic path decodes it. *)
+let test_payload_edges () =
+  let frame ?(id = {|7|}) ?(verb = {|"post_many"|}) ?(key = {|"items"|}) items =
+    Printf.sprintf {|{"id":%s,"verb":%s,%s:%s}|} id verb key items
+  in
+  let item ?(oid = "1") ?(event = {|{"k":"method","q":"after","name":"tick"}|}) args =
+    Printf.sprintf {|{"oid":%s,"event":%s,"args":%s}|} oid event args
+  in
+  let one args = frame ("[" ^ item args ^ "]") in
+  let at pattern = item ~event:({|{"k":"time","spec":{"at":|} ^ pattern ^ "}}") "[]" in
+  let canonical = one {|[null,true,false,-3,0.5,"s",{"oid":4}]|} in
+  Alcotest.(check bool) "the canonical frame is typed" true (P.decode_typed canonical <> None);
+  let numbers =
+    [ "1e999"; "-1e999"; "1e3"; "1E3"; "1.5e2"; "12345678901234567890"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387904"; "-4611686018427387905"; "007"; "-0";
+      "1."; "-.5"; ".5"; "1-2"; "--1"; "-"; "1.5.2"; "0x10"; "+1" ]
+  in
+  let frames =
+    List.map (fun n -> one ("[" ^ n ^ "]")) numbers
+    @ List.map (fun n -> frame ~id:n "[]") numbers
+    @ List.map (fun n -> frame ("[" ^ item ~oid:n "[]" ^ "]")) numbers
+    @ [
+        canonical;
+        canonical ^ " ";
+        canonical ^ "x";
+        canonical ^ canonical;
+        " \n\t\r" ^ canonical;
+        "\000" ^ canonical;
+        "\012" ^ canonical;
+        one "[ 1 , 2 ]";
+        one "[1\000]";
+        one "[1,]";
+        one "[,1]";
+        one {|[{"oid":1,"oid":2}]|};
+        one {|[{"oid":1,"x":2}]|};
+        one {|[{"float":"nan"}]|};
+        one {|[{"float":"inf"}]|};
+        one {|["a\"b"]|};
+        one {|["\u0061"]|};
+        one {|["a\/b"]|};
+        one "[nul]";
+        one "[truex]";
+        one "[[1]]";
+        frame ("[" ^ item ~event:{|{"k":"method","q":"after","name":"t\u0069ck"}|} "[]" ^ "]");
+        frame ("[" ^ item ~event:{|{"k":"method","name":"tick","q":"after"}|} "[]" ^ "]");
+        frame ("[" ^ item ~event:{|{"k":"create","q":"after"}|} "[]" ^ "]");
+        frame ("[" ^ item ~event:{|{"k":"method","q":"during","name":"x"}|} "[]" ^ "]");
+        frame ("[" ^ item ~event:{|{"k":"nope"}|} "[]" ^ "]");
+        frame ("[" ^ item ~event:{|{"k":"time","spec":{"every":5,"after":6}}|} "[]" ^ "]");
+        frame ("[" ^ at {|{"year":2024,"hr":9}|} ^ "]");
+        frame ("[" ^ at {|{"hr":9,"year":2024}|} ^ "]");
+        frame ("[" ^ at {|{"hr":9,"hr":10}|} ^ "]");
+        frame ("[" ^ at {|{"hr":9.5}|} ^ "]");
+        frame ("[" ^ at "{}" ^ "]");
+        frame ("[" ^ at "5" ^ "]");
+        frame {|[{"oid":1,"event":{"k":"create"}}]|};
+        frame {|[{"oid":1,"event":{"k":"create"},"args":null}]|};
+        frame {|[{"event":{"k":"create"},"oid":1,"args":[]}]|};
+        frame ~key:{|"item"|} "[]";
+        frame ~verb:{|"post"|} ("[" ^ item "[]" ^ "]");
+        frame ~verb:{|"post"|} ~key:{|"item"|} (item "[]");
+        frame ~verb:{|"call"|} "[]";
+        {|{"verb":"post_many","id":7,"items":[]}|};
+        {|{"id":7,"id":8,"verb":"post_many","items":[]}|};
+        String.make 100_000 '[';
+      ]
+  in
+  List.iter
+    (fun s ->
+      if not (same_decode s) then Alcotest.failf "typed and generic disagree on %S" s)
+    frames
+
+(* Every value encoding and every basic-event kind takes the typed
+   path: floats with a [.] and no exponent, strings without escapes. *)
+let qcheck_typed_covers =
+  let typed_value =
+    QCheck.Gen.(
+      oneof
+        [
+          return Value.Unit;
+          map (fun b -> Value.Bool b) bool;
+          map (fun n -> Value.Int n) int;
+          map2 (fun a b -> Value.Float (float_of_int a /. float_of_int (1 + b)))
+            (int_range (-1000) 1000) (int_bound 50);
+          (* every byte the printer writes unescaped *)
+          map
+            (fun s -> Value.String s)
+            (string_size
+               ~gen:(map (fun c -> if c = '"' || c = '\\' then '_' else c) (char_range ' ' '\255'))
+               (int_range 0 12));
+          map (fun n -> Value.Oid n) nat;
+        ])
+  in
+  let item =
+    QCheck.Gen.(
+      let* oid = nat in
+      let* event = Gen.basic in
+      let+ args = list_size (int_range 0 4) typed_value in
+      { P.i_oid = oid; i_event = event; i_args = args })
+  in
+  QCheck.Test.make ~count:400 ~name:"typed cursor reads every post encoding"
+    (QCheck.make
+       ~print:(fun (id, r) -> P.encode_request ~id r)
+       QCheck.Gen.(
+         pair nat
+           (oneof
+              [ map (fun it -> P.Post it) item;
+                map (fun its -> P.Post_many its) (list_size (int_range 0 6) item) ])))
+    (fun (id, req) ->
+      match P.decode_typed (P.encode_request ~id req) with
+      | Some (id', req') -> id' = id && req' = req
+      | None -> QCheck.Test.fail_report "the typed cursor fell back")
+
+(* The ingest shape: one event repeated over 100 items decodes to one
+   shared [Symbol.basic] value, where the generic path builds 100. *)
+let test_typed_shares_event () =
+  let items =
+    List.init 100 (fun k ->
+        { P.i_oid = k; i_event = Symbol.Method (Symbol.After, "sample"); i_args = [ Value.Int k ] })
+  in
+  let wire = P.encode_request ~id:9 (P.Post_many items) in
+  match P.decode_typed wire with
+  | Some (9, P.Post_many (first :: _ as decoded)) ->
+    Alcotest.(check bool) "items round-trip" true (decoded = items);
+    Alcotest.(check bool) "one Symbol.basic for all 100 items" true
+      (List.for_all (fun it -> it.P.i_event == first.P.i_event) decoded)
+  | Some _ -> Alcotest.fail "decoded to another request"
+  | None -> Alcotest.fail "the ingest shape must take the typed path"
+
+(* ------------------------------------------------------------------ *)
 (* Framing                                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -1107,6 +1391,8 @@ let suite =
     Alcotest.test_case "non-finite float encoding" `Quick test_nonfinite_floats;
     Alcotest.test_case "json rejects overflow and nesting bombs" `Quick
       test_json_limits;
+    Alcotest.test_case "post_many items share one event" `Quick test_typed_shares_event;
+    Alcotest.test_case "payloads at the typed subset's edges" `Quick test_payload_edges;
     Alcotest.test_case "incremental frame decoding" `Quick test_decoder_incremental;
     Alcotest.test_case "bad lengths poison the decoder" `Quick test_decoder_poison;
     Alcotest.test_case "blocking reads report torn frames" `Quick test_read_frame_errors;
@@ -1144,4 +1430,5 @@ let suite =
     Alcotest.test_case "optional shims override config" `Quick test_config_overrides;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ qcheck_request_roundtrip; qcheck_msg_roundtrip ]
+      [ qcheck_request_roundtrip; qcheck_msg_roundtrip; qcheck_payload_decode;
+        qcheck_typed_covers ]

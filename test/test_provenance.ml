@@ -32,6 +32,25 @@ let boolean_shadow =
             fired = (matches <> []))
           occs)
 
+(* A case the property once found (seed 739286270): the chains of
+   [relative+] filled the 4096 cap and evicted the standing base link,
+   so no new chain could start while the detector kept firing. *)
+let test_cap_keeps_base_link () =
+  let g = Expr.after "g" in
+  let e = Expr.relative_plus Expr.(prior_n 3 g &: relative_n 2 g) in
+  let det = Detector.make e in
+  let state = Detector.initial det in
+  let prov = Provenance.make ~max_matches:4096 e in
+  let g = occ "g" [] and f = occ "f" [] in
+  let bf = { f with Symbol.basic = Symbol.Method (Before, "f") } in
+  let occs = [ g; g; g; g; g; f; g; g; g; bf; g; f; g; f; g; g; g ] in
+  List.iteri
+    (fun k o ->
+      let fired = Detector.post det state ~env o in
+      let matches = Provenance.post prov ~env o in
+      Alcotest.(check bool) (Printf.sprintf "occurrence %d" (k + 1)) fired (matches <> []))
+    occs
+
 let formals names =
   List.map (fun n -> { Expr.f_ty = None; f_name = n }) names
 
@@ -158,6 +177,7 @@ let suite =
       Alcotest.test_case "chains accumulate bindings" `Quick test_chain_accumulates;
       Alcotest.test_case "fa window bindings" `Quick test_fa_window_bindings;
       Alcotest.test_case "cap bounds state" `Quick test_cap_bounds_state;
+      Alcotest.test_case "cap keeps the chain base link" `Quick test_cap_keeps_base_link;
       Alcotest.test_case "consumption contexts (Snoop)" `Quick test_consumption_contexts;
       Alcotest.test_case "chronicle fa pairing" `Quick test_chronicle_fa;
     ]

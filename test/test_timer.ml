@@ -440,6 +440,52 @@ let test_clock_only_replay () =
   D.close_durability rdb;
   Alcotest.(check int) "the replayed timer still fires at 70" 1 !fired
 
+(* A time-event action that raises something other than [Tabort]
+   aborts its system transaction: after the failed advance the caller's
+   transaction is current again, no lock outlives the system
+   transaction, and the periodic timer is still armed. *)
+let test_raising_time_action () =
+  let runs = ref 0 in
+  let schema =
+    D.define_class "bomb"
+    |> (fun b -> D.field b "n" (Value.Int 0))
+    |> (fun b ->
+         D.method_ b ~kind:D.Updating "poke" (fun db oid _ ->
+             D.set_field db oid "n" (Value.add (D.get_field db oid "n") (Value.Int 1));
+             Value.Unit))
+    |> fun b ->
+    D.trigger_str b ~perpetual:true "boom" ~event:"every time(MS=10)"
+      ~action:(fun db ctx ->
+        incr runs;
+        ignore (D.call db ctx.D.fc_oid "poke" []);
+        failwith "boom")
+  in
+  let db = D.create_db () in
+  D.register_class db schema;
+  let oid =
+    expect_ok
+      (D.with_txn db (fun _ ->
+           let oid = D.create db "bomb" [] in
+           D.activate db oid "boom" [];
+           oid))
+  in
+  let caller = D.begin_txn db in
+  let advance () =
+    match D.advance_clock db 10L with
+    | () -> Alcotest.fail "the action's Failure must propagate"
+    | exception Failure _ -> ()
+  in
+  advance ();
+  Alcotest.(check bool) "caller's transaction is current again" true
+    (match D.current_txn db with Some tx -> tx == caller | None -> false);
+  (* the aborted action's write lock is gone: the caller can write *)
+  ignore (D.call db oid "poke" []);
+  expect_ok (D.commit db caller);
+  Alcotest.(check bool) "the action's write was undone" true
+    (D.get_field db oid "n" = Value.Int 1);
+  advance ();
+  Alcotest.(check int) "the periodic timer delivered again" 2 !runs
+
 (* The fleet scenario end to end, small: cadence deliveries, one-shot
    service alerts, eager cancellation via idle/retire — every total
    pinned. *)
@@ -465,5 +511,7 @@ let suite =
       test_eager_cancel_stats;
     Alcotest.test_case "clock-only WAL batch replay (regression)" `Quick
       test_clock_only_replay;
+    Alcotest.test_case "a raising time action aborts cleanly" `Quick
+      test_raising_time_action;
     Alcotest.test_case "fleet scenario totals" `Quick test_fleet_small;
   ]
